@@ -10,6 +10,7 @@ void OsdMap::add_osd(OsdId id, HostId host, double weight) {
   crush_.add_device(id, host, weight);
   up_[id] = true;
   epoch_++;
+  rebuild_placement();
 }
 
 void OsdMap::mark_down(OsdId id) {
@@ -17,6 +18,7 @@ void OsdMap::mark_down(OsdId id) {
   if (up_[id]) {
     up_[id] = false;
     epoch_++;
+    rebuild_placement();
   }
 }
 
@@ -25,6 +27,7 @@ void OsdMap::mark_up(OsdId id) {
   if (!up_[id]) {
     up_[id] = true;
     epoch_++;
+    rebuild_placement();
   }
 }
 
@@ -46,6 +49,7 @@ PoolId OsdMap::create_pool(PoolConfig cfg) {
   const PoolId id = next_pool_++;
   pools_[id] = std::move(cfg);
   epoch_++;
+  rebuild_placement();
   return id;
 }
 
@@ -55,11 +59,11 @@ const PoolConfig& OsdMap::pool(PoolId id) const {
   return it->second;
 }
 
-PoolConfig& OsdMap::mutable_pool(PoolId id) {
+void OsdMap::set_dedup_config(PoolId id, const DedupTierConfig& dedup) {
   auto it = pools_.find(id);
   assert(it != pools_.end());
-  epoch_++;
-  return it->second;
+  it->second.dedup = dedup;
+  epoch_++;  // placement is unchanged, so the table stays valid
 }
 
 std::optional<PoolId> OsdMap::pool_by_name(const std::string& name) const {
@@ -85,17 +89,31 @@ uint64_t OsdMap::placement_seed(PoolId pool, uint32_t pg) const {
   return mix64((static_cast<uint64_t>(pool) << 32) | pg);
 }
 
-std::vector<OsdId> OsdMap::acting_for_pg(PoolId pool, uint32_t pg) const {
-  const PoolConfig& cfg = this->pool(pool);
+void OsdMap::rebuild_placement() {
   std::vector<OsdId> down;
   for (const auto& [id, up] : up_) {
     if (!up) down.push_back(id);
   }
-  return crush_.select(placement_seed(pool, pg), cfg.size(), down);
+  // Update in place: a set never outgrows the capacity reserved at its
+  // first build, so references handed out stay valid across epochs (only
+  // the contents change), and a new pool only appends a table.
+  placement_.resize(static_cast<size_t>(next_pool_));
+  for (const auto& [pool, cfg] : pools_) {
+    auto& table = placement_[static_cast<size_t>(pool)];
+    table.resize(cfg.pg_num);
+    for (uint32_t pg = 0; pg < cfg.pg_num; pg++) {
+      const auto sel =
+          crush_.select(placement_seed(pool, pg), cfg.size(), down);
+      table[pg].reserve(static_cast<size_t>(cfg.size()));
+      table[pg].assign(sel.begin(), sel.end());
+    }
+  }
 }
 
-std::vector<OsdId> OsdMap::acting(PoolId pool, const std::string& oid) const {
-  return acting_for_pg(pool, pg_of(pool, oid));
+const std::vector<OsdId>& OsdMap::acting_for_pg(PoolId pool,
+                                                uint32_t pg) const {
+  assert(has_pool(pool) && pg < placement_[static_cast<size_t>(pool)].size());
+  return placement_[static_cast<size_t>(pool)][pg];
 }
 
 }  // namespace gdedup

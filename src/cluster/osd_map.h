@@ -4,9 +4,13 @@
 //
 // This is the decentralized placement function of Figure 2(b): every
 // client and OSD evaluates the same pure function of (map epoch, oid), so
-// there is no metadata server.  Pool configuration carries the dedup tier
-// parameters the same way Ceph's OSDMap carries cache-tier settings —
-// that's what lets the dedup design ship without new cluster-wide state.
+// there is no metadata server.  Like Ceph's OSDMapMapping, the PG -> acting
+// half of that function is tabulated once per epoch: every mutator that
+// changes placement rebuilds the table, so lookups are pure reads (safe
+// from parallel shard windows) and never re-run CRUSH.  Pool configuration
+// carries the dedup tier parameters the same way Ceph's OSDMap carries
+// cache-tier settings — that's what lets the dedup design ship without new
+// cluster-wide state.
 
 #include <cstdint>
 #include <map>
@@ -130,14 +134,14 @@ class OsdMap {
   std::vector<OsdId> up_osds() const;
   int num_osds() const { return crush_.num_devices(); }
 
-  CrushMap& crush() { return crush_; }
   const CrushMap& crush() const { return crush_; }
 
   // --- pools ---
   PoolId create_pool(PoolConfig cfg);
   bool has_pool(PoolId id) const { return pools_.count(id) > 0; }
   const PoolConfig& pool(PoolId id) const;
-  PoolConfig& mutable_pool(PoolId id);
+  // Placement-neutral: swaps the dedup tier parameters of a pool.
+  void set_dedup_config(PoolId id, const DedupTierConfig& dedup);
   std::optional<PoolId> pool_by_name(const std::string& name) const;
   std::vector<PoolId> pool_ids() const;
 
@@ -145,22 +149,33 @@ class OsdMap {
   uint32_t pg_of(PoolId pool, const std::string& oid) const;
 
   // Ordered acting set for an object (primary first).  Down OSDs are
-  // excluded, so the set reflects post-failure placement.
-  std::vector<OsdId> acting(PoolId pool, const std::string& oid) const;
-  std::vector<OsdId> acting_for_pg(PoolId pool, uint32_t pg) const;
+  // excluded, so the set reflects post-failure placement.  The reference
+  // points into the placement table: it stays valid for the map's
+  // lifetime, but its contents change at the next liveness change, so a
+  // caller that can mark an OSD down or up while it walks the set
+  // (directly or through a synchronous failure hook) keeps a copy.
+  const std::vector<OsdId>& acting(PoolId pool, const std::string& oid) const {
+    return acting_for_pg(pool, pg_of(pool, oid));
+  }
+  const std::vector<OsdId>& acting_for_pg(PoolId pool, uint32_t pg) const;
 
   OsdId primary(PoolId pool, const std::string& oid) const {
-    auto a = acting(pool, oid);
+    const auto& a = acting(pool, oid);
     return a.empty() ? -1 : a[0];
   }
 
  private:
   uint64_t placement_seed(PoolId pool, uint32_t pg) const;
+  // Recompute every pool's PG -> acting table; called by each mutator
+  // that changes the topology, liveness or the pool set.
+  void rebuild_placement();
 
   uint64_t epoch_ = 1;
   CrushMap crush_;
   std::map<OsdId, bool> up_;
   std::map<PoolId, PoolConfig> pools_;
+  // [pool][pg] -> acting set, as of epoch_ (pool ids are dense from 0).
+  std::vector<std::vector<std::vector<OsdId>>> placement_;
   PoolId next_pool_ = 0;
 };
 

@@ -62,11 +62,11 @@ bool ChunkMap::any_dirty() const {
 }
 
 uint64_t ChunkMap::logical_end() const {
-  uint64_t end = 0;
-  for (const auto& [off, e] : entries_) {
-    end = std::max(end, e.offset + e.length);
-  }
-  return end;
+  // Entries are keyed by offset and never overlap, so the last one ends
+  // the map.
+  if (entries_.empty()) return 0;
+  const ChunkMapEntry& last = entries_.rbegin()->second;
+  return last.offset + last.length;
 }
 
 Buffer ChunkMap::encode() const {

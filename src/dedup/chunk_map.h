@@ -105,7 +105,7 @@ class ChunkMap {
   bool erase(uint64_t offset);
 
   bool any_dirty() const;
-  uint64_t logical_end() const;  // max(offset + length)
+  uint64_t logical_end() const;  // max(offset + length), in O(1)
 
   std::map<uint64_t, ChunkMapEntry>& entries() { return entries_; }
   const std::map<uint64_t, ChunkMapEntry>& entries() const { return entries_; }

@@ -107,7 +107,7 @@ void InvariantChecker::check_conservation(InvariantReport* rep) const {
   // flushed entry must find its chunk (with the matching ref recorded) on
   // the chunk's primary.
   for (const auto& [key, who] : dedup_walk::holders(ctx_, meta_)) {
-    const auto acting = ctx_->osdmap().acting(meta_, key.oid);
+    const auto& acting = ctx_->osdmap().acting(meta_, key.oid);
     for (OsdId id : who) {
       if (std::find(acting.begin(), acting.end(), id) == acting.end()) {
         rep->stray_copies++;
@@ -194,7 +194,7 @@ void InvariantChecker::check_conservation(InvariantReport* rep) const {
   // recorded ref must match a flushed entry.
   for (const auto& [key, who] : dedup_walk::holders(ctx_, chunks_)) {
     rep->chunks_checked++;
-    const auto acting = ctx_->osdmap().acting(chunks_, key.oid);
+    const auto& acting = ctx_->osdmap().acting(chunks_, key.oid);
     for (OsdId id : who) {
       if (std::find(acting.begin(), acting.end(), id) == acting.end()) {
         rep->stray_copies++;

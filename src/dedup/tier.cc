@@ -1182,10 +1182,9 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
       op.len == 0 ? size - off : std::min<uint64_t>(op.len, size - off);
   perf_->inc(l_tier_read_logical_bytes, len);
 
-  // Forward-assembly window bookkeeping (host-side only — the window
-  // changes neither the RPCs issued nor any digested counter, it only
-  // assembles replies into one shared buffer and serves them as
-  // zero-copy slices).  Retries rebuild the map view, so only the first
+  // Forward-assembly window bookkeeping (host-side accounting only — the
+  // window changes neither the RPCs issued, the reply bytes nor any
+  // digested counter).  Retries rebuild the map view, so only the first
   // attempt consults the window.
   AssemblyWindow* win = nullptr;
   const uint32_t cs = chunker_.chunk_size();
@@ -1211,7 +1210,6 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
         w.stamp = map_mutation_stamp_;
         w.win_begin = off;
         w.win_end = wend;
-        w.buf = std::make_shared<Buffer>(wend - off);
         w.planned = 0;
         w.consumed = 0;
         for (uint64_t c = first; c < wend; c += cs) {
@@ -1227,11 +1225,6 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
       win = &w;
     }
   }
-  // Completions write through the shared buffer, never through `win`:
-  // the window may close (or the map rehash) while RPCs are in flight.
-  std::shared_ptr<Buffer> wbuf = win != nullptr ? win->buf : nullptr;
-  const uint64_t woff = win != nullptr ? win->win_begin : 0;
-
   // Build segments: coalesced local spans, per-chunk remote reads.
   struct Segment {
     bool remote;
@@ -1307,7 +1300,7 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
   g->outstanding = static_cast<int>(segs.size());
   // Weak self-reference: see post_process_write's `proceed`.
   std::weak_ptr<Gather> gw = g;
-  g->done = [this, gw, op, attempt, wbuf, woff, off, len,
+  g->done = [this, gw, op, attempt,
              reply = std::move(reply)](Status s) mutable {
     auto g = gw.lock();
     if (!g) return;
@@ -1325,11 +1318,7 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
       return;
     }
     Buffer out;
-    if (wbuf) {
-      // Every part of this read landed in the window buffer; the reply is
-      // a zero-copy slice of it (no per-read concat allocation).
-      out = wbuf->slice(off - woff, len);
-    } else if (g->parts.size() == 1) {
+    if (g->parts.size() == 1) {
       out = std::move(g->parts[0]);
     } else {
       size_t total = 0;
@@ -1353,7 +1342,7 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
       read_chunk_from_pool(
           s.chunk_oid, s.chunk_off, n,
           /*foreground=*/true,
-          [this, g, i, merge, oid, b, n, wbuf, woff](Result<Buffer> r) {
+          [this, g, i, merge, oid, b, n](Result<Buffer> r) {
             if (!r.is_ok()) {
               g->arrive(i, std::move(r));
               return;
@@ -1363,19 +1352,14 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
             Buffer part = std::move(r).value();
             part.resize(n);
             if (merge) overlay_local(oid, b, &part);
-            if (wbuf) {
-              wbuf->write_at(b - woff, part);
-              g->arrive(i, Buffer());
-            } else {
-              g->arrive(i, std::move(part));
-            }
+            g->arrive(i, std::move(part));
           },
           op.trace);
     } else {
       const uint64_t b = s.begin;
       const uint64_t n = s.end - s.begin;
       osd_->submit_read(pool_, oid, b, n,
-                        [g, i, b, n, wbuf, woff](Result<Buffer> r) {
+                        [g, i, n](Result<Buffer> r) {
                           if (!r.is_ok()) {
                             g->arrive(i, std::move(r));
                             return;
@@ -1386,12 +1370,7 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
                             // logical size: zeros by definition.
                             part.resize(n);
                           }
-                          if (wbuf) {
-                            wbuf->write_at(b - woff, part);
-                            g->arrive(i, Buffer());
-                          } else {
-                            g->arrive(i, std::move(part));
-                          }
+                          g->arrive(i, std::move(part));
                         },
                         /*foreground=*/true);
     }
@@ -2270,7 +2249,6 @@ void DedupTier::close_assembly_window(AssemblyWindow* w) {
     perf_->inc(l_tier_asm_wasted_refs, w->planned - w->consumed);
   }
   w->open = false;
-  w->buf.reset();
   w->planned = 0;
   w->consumed = 0;
 }

@@ -351,12 +351,12 @@ class DedupTier : public TierService {
   // -- fragmentation-aware restore path --
   // Forward-assembly window: a per-object sequential-read detector that,
   // once a streak is established, plans the next chunk refs from the map
-  // and assembles them into one window buffer.  Host-side only: every
-  // chunk-pool RPC, costed read, and digested counter happens identically
-  // with the window on or off — replies are merely carved from the window
-  // buffer as zero-copy slices instead of re-fetched.  Plans are
-  // validated against map_mutation_stamp_, bumped at every map-mutating
-  // site, so a stale window silently dissolves.
+  // and accounts the redirected reads it serves.  Accounting only: it
+  // holds no bytes, every chunk-pool RPC, costed read and digested counter
+  // happens identically with the window on or off, and replies are built
+  // exactly as outside a window.  Plans are validated against
+  // map_mutation_stamp_, bumped at every map-mutating site, so a stale
+  // window silently dissolves.
   struct AssemblyWindow {
     uint64_t expect_off = 0;  // predicted offset of the next read
     int streak = 0;           // consecutive sequential reads seen
@@ -364,10 +364,6 @@ class DedupTier : public TierService {
     uint64_t stamp = 0;       // map_mutation_stamp_ when planned
     uint64_t win_begin = 0;
     uint64_t win_end = 0;
-    // Assembled [win_begin, win_end) bytes.  Shared so in-flight read
-    // completions write into the same storage the window slices replies
-    // from (a by-value Buffer copy would detach on first write).
-    std::shared_ptr<Buffer> buf;
     uint64_t planned = 0;     // refs planned into this window
     uint64_t consumed = 0;    // refs actually served from it
   };

@@ -64,11 +64,11 @@ class ClusterContext {
   }
   virtual bool fp_fastpath() const { return env_fp_fastpath(); }
 
-  // Forward-assembly restore cache (dedup/tier.cc handle_read).  Host-side
-  // only, like the fingerprint fast path: a sequential-read window plans
-  // the next chunk refs and assembles replies from one window buffer, but
-  // every chunk-pool RPC, cpu cost, and digested counter is issued
-  // identically — the determinism digest is byte-identical either way.
+  // Forward-assembly restore window (dedup/tier.cc handle_read).  Host-side
+  // accounting only: a sequential-read window plans the next chunk refs
+  // and counts the reads it serves (the tier.asm_* counters), but holds no
+  // bytes; every chunk-pool RPC, cpu cost, reply and digested counter is
+  // identical — the determinism digest is byte-identical either way.
   // Default: the GDEDUP_RESTORE_ASSEMBLY environment variable, on unless
   // set to "0".  rados::Cluster overrides with its ClusterConfig knob.
   static bool env_restore_assembly() {

@@ -1,5 +1,8 @@
 #include "osd/messages.h"
 
+#include <cassert>
+#include <cstring>
+
 #include "common/encoding.h"
 
 namespace gdedup {
@@ -37,14 +40,37 @@ std::string_view osd_op_type_name(OsdOpType t) {
 }
 
 Buffer encode_refs(const std::vector<ChunkRef>& refs) {
-  Encoder e;
-  e.put_u32(static_cast<uint32_t>(refs.size()));
-  for (const auto& r : refs) {
-    e.put_u32(static_cast<uint32_t>(r.pool));
-    e.put_string(r.oid);
-    e.put_u64(r.offset);
+  return append_refs(Buffer(), refs, 0);
+}
+
+Buffer append_refs(const Buffer& stored, const std::vector<ChunkRef>& refs,
+                   size_t from) {
+  // Layout (little-endian, as Encoder writes it): u32 count, then per ref
+  // u32 pool, u32 oid length, oid bytes, u64 offset.
+  assert(from <= refs.size() && (from == 0 || !stored.empty()));
+  const size_t head = stored.empty() ? sizeof(uint32_t) : stored.size();
+  size_t len = head;
+  for (size_t i = from; i < refs.size(); i++) len += 16 + refs[i].oid.size();
+  Buffer out(len);
+  uint8_t* p = out.mutable_data();
+  if (!stored.empty()) std::memcpy(p, stored.data(), stored.size());
+  size_t pos = head;
+  auto put = [&](const void* src, size_t n) {
+    std::memcpy(p + pos, src, n);
+    pos += n;
+  };
+  for (size_t i = from; i < refs.size(); i++) {
+    const ChunkRef& r = refs[i];
+    const auto pool = static_cast<uint32_t>(r.pool);
+    const auto n = static_cast<uint32_t>(r.oid.size());
+    put(&pool, sizeof pool);
+    put(&n, sizeof n);
+    put(r.oid.data(), n);
+    put(&r.offset, sizeof r.offset);
   }
-  return e.finish();
+  const auto count = static_cast<uint32_t>(refs.size());
+  std::memcpy(p, &count, sizeof count);
+  return out;
 }
 
 Result<std::vector<ChunkRef>> decode_refs(const Buffer& b) {

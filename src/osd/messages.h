@@ -63,6 +63,11 @@ struct ChunkRef {
 inline constexpr const char* kRefsXattr = "dedup.refs";
 
 Buffer encode_refs(const std::vector<ChunkRef>& refs);
+// encode_refs(refs), given `stored` == encode_refs of refs[0, from) (or
+// empty when from == 0): copies the stored bytes, appends the records of
+// refs[from, end) and patches the count, without re-encoding the prefix.
+Buffer append_refs(const Buffer& stored, const std::vector<ChunkRef>& refs,
+                   size_t from);
 Result<std::vector<ChunkRef>> decode_refs(const Buffer& b);
 
 struct OsdOp {

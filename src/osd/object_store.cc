@@ -226,14 +226,24 @@ Status ObjectStore::apply_to_state(const Transaction& txn, const ObjectKey& key,
 
 Status ObjectStore::apply(const Transaction& txn) {
   MaybeUniqueLock g(mu_);
+  // Per-object existence as the transaction runs.  A transaction touches
+  // one to three objects, so a linear scan of a flat list beats a map;
+  // the list is reused, so steady-state applies allocate nothing here.
+  thread_local std::vector<std::pair<const ObjectKey*, bool>> touched;
+  touched.clear();
+  auto slot = [&touched](const ObjectKey& k) -> bool* {
+    for (auto& [key, ex] : touched) {
+      if (*key == k) return &ex;
+    }
+    return nullptr;
+  };
+
   // Validation pass: the only failable ops reference missing objects.
   // Track objects the transaction itself creates so create-then-write in
   // one transaction validates.
-  std::map<ObjectKey, bool> will_exist;
   for (const auto& op : txn.ops()) {
-    auto it = will_exist.find(op.key);
-    bool ex =
-        it != will_exist.end() ? it->second : objects_.count(op.key) > 0;
+    bool* known = slot(op.key);
+    bool ex = known != nullptr ? *known : objects_.count(op.key) > 0;
     switch (op.type) {
       case Transaction::OpType::kCreate:
       case Transaction::OpType::kWrite:
@@ -258,11 +268,15 @@ Status ObjectStore::apply(const Transaction& txn) {
         ex = false;
         break;
     }
-    will_exist[op.key] = ex;
+    if (known != nullptr) {
+      *known = ex;
+    } else {
+      touched.emplace_back(&op.key, ex);
+    }
   }
 
-  // Mutation pass (cannot fail).
-  std::map<ObjectKey, bool> touched_exists;
+  // Mutation pass (cannot fail).  Validation already simulated it, so
+  // `touched` ends holding each object's final liveness.
   for (const auto& op : txn.ops()) {
     ObjectState& st = objects_[op.key];  // creates placeholder if absent
     switch (op.type) {
@@ -286,8 +300,7 @@ Status ObjectStore::apply(const Transaction& txn) {
         break;
       case Transaction::OpType::kRemove:
         objects_.erase(op.key);
-        touched_exists[op.key] = false;
-        continue;
+        break;
       case Transaction::OpType::kSetXattr:
         st.xattrs[op.name] = op.data;
         break;
@@ -301,12 +314,11 @@ Status ObjectStore::apply(const Transaction& txn) {
         st.omap.erase(op.name);
         break;
     }
-    touched_exists[op.key] = true;
   }
   // Bump versions once per touched live object.
-  for (const auto& [key, alive] : touched_exists) {
+  for (const auto& [key, alive] : touched) {
     if (alive) {
-      auto it = objects_.find(key);
+      auto it = objects_.find(*key);
       if (it != objects_.end()) it->second.version++;
     }
   }

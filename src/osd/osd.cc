@@ -478,30 +478,34 @@ void Osd::finish_object_op(OpQueue& q, const ObjectKey& key) {
   }
 }
 
-Status Osd::load_refs(const ObjectKey& key, std::vector<ChunkRef>* out) {
+Status Osd::load_refs(const ObjectKey& key, RefsView* v) {
   auto raw = local_getxattr(key.pool, key.oid, kRefsXattr);
   if (!raw.is_ok()) return Status::ok();  // no refs recorded yet
-  perf_->inc(l_osd_meta_bytes_read, raw.value().size());
-  if (ctx_->fp_fastpath()) {
-    if (const std::vector<ChunkRef>* cached =
-            refs_cache_.find(key, raw.value())) {
+  v->raw = std::move(raw).value();
+  perf_->inc(l_osd_meta_bytes_read, v->raw.size());
+  const bool fast = ctx_->fp_fastpath();
+  if (fast) {
+    if ((v->cached = refs_cache_.find(key, v->raw)) != nullptr) {
       perf_->inc(l_osd_refs_cache_hits);
-      *out = *cached;
       return Status::ok();
     }
   }
   perf_->inc(l_osd_refs_decodes);
-  auto dec = decode_refs(raw.value());
+  auto dec = decode_refs(v->raw);
   if (!dec.is_ok()) return dec.status();
-  *out = std::move(dec).value();
-  if (ctx_->fp_fastpath()) refs_cache_.put(key, raw.value(), *out);
+  v->owned = std::move(dec).value();
+  if (fast) v->cached = refs_cache_.put(key, v->raw, std::move(v->owned));
   return Status::ok();
 }
 
-Buffer Osd::store_refs(const ObjectKey& key, std::vector<ChunkRef> refs) {
-  Buffer enc = encode_refs(refs);
+Buffer Osd::store_refs(const ObjectKey& key, RefsView* v, size_t from) {
+  Buffer enc = append_refs(from == 0 ? Buffer() : v->raw, v->refs(), from);
   perf_->inc(l_osd_meta_bytes_written, enc.size());
-  if (ctx_->fp_fastpath()) refs_cache_.put(key, enc, std::move(refs));
+  if (v->cached != nullptr) {
+    refs_cache_.rebind(key, enc);
+  } else if (ctx_->fp_fastpath()) {
+    v->cached = refs_cache_.put(key, enc, std::move(v->owned));
+  }
   return enc;
 }
 
@@ -543,20 +547,16 @@ void Osd::chunk_put_ref_locked(const OsdOp& op, ReplyFn reply) {
   if (local_exists(op.pool, op.oid)) {
     // Double hashing at work: same OID == same content, so this put is a
     // duplicate.  Normally only reference bookkeeping is written.
-    std::vector<ChunkRef> refs;
-    if (Status s = load_refs(key, &refs); !s.is_ok()) {
+    RefsView v;
+    if (Status s = load_refs(key, &v); !s.is_ok()) {
       finish(s);
       return;
     }
-    const bool recorded =
-        std::find(refs.begin(), refs.end(), op.ref) != refs.end();
-    bool extras_recorded = true;
-    for (const auto& r : op.extra_refs) {
-      if (std::find(refs.begin(), refs.end(), r) == refs.end()) {
-        extras_recorded = false;
-        break;
-      }
-    }
+    std::vector<ChunkRef>& refs = v.refs();
+    const size_t stored = refs.size();
+    auto recorded = [&refs](const ChunkRef& r) {
+      return std::find(refs.begin(), refs.end(), r) != refs.end();
+    };
     // The local copy alone does not make the put durable: a prior attempt
     // can have created the chunk here while its replica fanout was lost to
     // a network fault, and acking a retry off local state would leave the
@@ -571,23 +571,25 @@ void Osd::chunk_put_ref_locked(const OsdOp& op, ReplyFn reply) {
         break;
       }
     }
-    if (recorded && extras_recorded && fully_placed) {
+    const bool ref_recorded = recorded(op.ref);
+    if (ref_recorded && fully_placed &&
+        std::all_of(op.extra_refs.begin(), op.extra_refs.end(), recorded)) {
       // Retried flush; the reference is already recorded everywhere.
       finish(Status::ok());
       return;
     }
-    if (!recorded) {
+    // Append only what is missing, in place, then append the same records
+    // to the stored bytes: no copy or re-encode of the recorded list.
+    if (!ref_recorded) {
       perf_->inc(l_osd_chunk_dedup_hits);
       refs.push_back(op.ref);
     }
     for (const auto& r : op.extra_refs) {
-      if (std::find(refs.begin(), refs.end(), r) == refs.end()) {
-        refs.push_back(r);
-      }
+      if (!recorded(r)) refs.push_back(r);
     }
     Transaction txn;
     if (!fully_placed) txn.write_full(key, op.data);
-    txn.setxattr(key, kRefsXattr, store_refs(key, std::move(refs)));
+    txn.setxattr(key, kRefsXattr, store_refs(key, &v, stored));
     submit_write(op.pool, op.oid, std::move(txn), std::move(finish),
                  op.foreground);
     return;
@@ -601,7 +603,9 @@ void Osd::chunk_put_ref_locked(const OsdOp& op, ReplyFn reply) {
   // with only the new reference would orphan every peer-recorded one — a
   // later deref-to-zero would then destroy a chunk another object's map
   // still names.  Union the surviving refs in.
-  std::vector<ChunkRef> refs{op.ref};
+  RefsView v;
+  std::vector<ChunkRef>& refs = v.owned;
+  refs.push_back(op.ref);
   for (const auto& r : op.extra_refs) {
     if (std::find(refs.begin(), refs.end(), r) == refs.end()) refs.push_back(r);
   }
@@ -627,7 +631,7 @@ void Osd::chunk_put_ref_locked(const OsdOp& op, ReplyFn reply) {
   }
   Transaction txn;
   txn.write_full(key, op.data);
-  txn.setxattr(key, kRefsXattr, store_refs(key, std::move(refs)));
+  txn.setxattr(key, kRefsXattr, store_refs(key, &v, 0));
   submit_write(op.pool, op.oid, std::move(txn), std::move(finish),
                op.foreground);
 }
@@ -644,11 +648,12 @@ void Osd::chunk_deref_locked(const OsdOp& op, ReplyFn reply) {
     finish(Status::ok());  // already reclaimed — deref is idempotent
     return;
   }
-  std::vector<ChunkRef> refs;
-  if (Status s = load_refs(key, &refs); !s.is_ok()) {
+  RefsView v;
+  if (Status s = load_refs(key, &v); !s.is_ok()) {
     finish(s);
     return;
   }
+  std::vector<ChunkRef>& refs = v.refs();
   auto it = std::find(refs.begin(), refs.end(), op.ref);
   if (it == refs.end()) {
     finish(Status::ok());  // reference already dropped
@@ -662,7 +667,7 @@ void Osd::chunk_deref_locked(const OsdOp& op, ReplyFn reply) {
     return;
   }
   Transaction txn;
-  txn.setxattr(key, kRefsXattr, store_refs(key, std::move(refs)));
+  txn.setxattr(key, kRefsXattr, store_refs(key, &v, 0));
   submit_write(op.pool, op.oid, std::move(txn), std::move(finish),
                op.foreground);
 }

@@ -243,14 +243,25 @@ class Osd {
   void chunk_put_ref_locked(const OsdOp& op, ReplyFn reply);
   void chunk_deref_locked(const OsdOp& op, ReplyFn reply);
 
-  // Read + decode the chunk's reference list (empty vector if none is
-  // recorded yet), consulting the decoded-refs cache when the fast path
-  // is on.  Metadata read bytes are accounted identically in both modes.
-  Status load_refs(const ObjectKey& key, std::vector<ChunkRef>* out);
-  // Encode `refs`, account the metadata write, and pre-populate the cache
-  // with the encoded buffer's identity (the store retains it zero-copy,
-  // so the next load_refs on this chunk skips the decode).
-  Buffer store_refs(const ObjectKey& key, std::vector<ChunkRef> refs);
+  // A chunk's reference list next to the stored xattr bytes it decodes
+  // from.  The list is the RefsCache entry itself when one is bound
+  // (edited in place), else `owned`.
+  struct RefsView {
+    Buffer raw;  // stored refs xattr; empty if none is recorded yet
+    std::vector<ChunkRef>* cached = nullptr;
+    std::vector<ChunkRef> owned;
+    std::vector<ChunkRef>& refs() { return cached ? *cached : owned; }
+  };
+  // Read the chunk's refs xattr and resolve its list: a cache hit when the
+  // fast path is on, else one decode (cached when the fast path is on).
+  // Metadata read bytes are accounted identically in both modes.
+  Status load_refs(const ObjectKey& key, RefsView* v);
+  // Encode the edited list for setxattr, given that its first `from`
+  // entries are still the ones `v->raw` encodes: the records after them
+  // are appended to those bytes (from == 0 encodes afresh).  Accounts the
+  // metadata write and binds the cached list to the new bytes, which the
+  // store retains zero-copy, so the next load_refs hits.
+  Buffer store_refs(const ObjectKey& key, RefsView* v, size_t from);
 
   // Per-object FIFO op queues.  Chunk verbs serialize so two in-flight
   // puts of the same (new) chunk cannot both take the create path; EC

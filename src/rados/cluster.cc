@@ -143,7 +143,7 @@ void Cluster::enable_dedup(PoolId metadata_pool, PoolId chunk_pool,
                            DedupTierConfig params) {
   assert(params.mode != DedupMode::kOff);
   params.chunk_pool = chunk_pool;
-  osdmap_.mutable_pool(metadata_pool).dedup = params;
+  osdmap_.set_dedup_config(metadata_pool, params);
   for (auto& o : osds_) {
     auto tier = std::make_unique<DedupTier>(o.get(), metadata_pool);
     tier->start();

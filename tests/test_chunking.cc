@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "common/encoding.h"
@@ -342,6 +344,31 @@ TEST(ChunkMap, AnyDirtyAndLogicalEnd) {
   cm.find(32768)->dirty = true;
   EXPECT_TRUE(cm.any_dirty());
   EXPECT_EQ(cm.logical_end(), 33768u);
+}
+
+TEST(ChunkMap, LogicalEndMatchesFullScanOnRandomMaps) {
+  // logical_end() reads only the last entry; on any map of non-overlapping
+  // offset-keyed slots that must equal the max(offset + length) scan.
+  Rng rng(31);
+  for (int trial = 0; trial < 500; trial++) {
+    ChunkMap cm;
+    const uint32_t cs = static_cast<uint32_t>(rng.between(1, 64)) * 512;
+    const uint64_t slots = rng.below(40);
+    for (uint64_t i = 0; i < slots; i++) {
+      const uint64_t off = rng.below(256) * cs;
+      cm.obtain(off, static_cast<uint32_t>(rng.between(1, cs)));
+    }
+    for (uint64_t i = rng.below(4); i > 0 && !cm.empty(); i--) {
+      cm.erase(std::next(cm.entries().begin(),
+                         static_cast<long>(rng.below(cm.size())))->first);
+    }
+    uint64_t scan = 0;
+    for (const auto& [off, e] : cm.entries()) {
+      scan = std::max(scan, e.offset + e.length);
+    }
+    EXPECT_EQ(cm.logical_end(), scan) << "trial " << trial;
+  }
+  EXPECT_EQ(ChunkMap().logical_end(), 0u);
 }
 
 TEST(ChunkMap, EncodeDecodeRoundTrip) {

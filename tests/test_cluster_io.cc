@@ -276,6 +276,55 @@ TEST_F(ChunkVerbs, DerefIsIdempotent) {
   ASSERT_TRUE(run_op(make_deref(rep_, "sha256:c5", {0, "a", 0})).is_ok());
 }
 
+TEST_F(ChunkVerbs, DedupPutAppendsOnlyMissingRefs) {
+  // A dedup-hit put whose own ref is already recorded but which carries
+  // extra refs (a rewrite container) appends just the missing ones, once
+  // each and in order; the stored xattr is byte-identical to a fresh
+  // encode of the full list.
+  Buffer data = random_buffer(1024, 27);
+  const std::string cid = "sha256:c8";
+  const std::string long_oid(500, 'q');
+  ASSERT_TRUE(run_op(make_put(rep_, cid, data, {0, "a", 0})).is_ok());
+  OsdOp op = make_put(rep_, cid, data, {0, "a", 0});
+  op.extra_refs = {{0, long_oid, 65536}, {0, "a", 0}, {0, long_oid, 65536},
+                   {0, "b", 32768}};
+  ASSERT_TRUE(run_op(std::move(op)).is_ok());
+  const std::vector<ChunkRef> want = {
+      {0, "a", 0}, {0, long_oid, 65536}, {0, "b", 32768}};
+  EXPECT_EQ(refs_of(cid), want);
+  for (OsdId id : cluster_->osdmap().acting(rep_, cid)) {
+    auto raw = cluster_->osd(id)->local_getxattr(rep_, cid, kRefsXattr);
+    ASSERT_TRUE(raw.is_ok()) << "osd " << id;
+    EXPECT_TRUE(raw->content_equals(encode_refs(want))) << "osd " << id;
+  }
+}
+
+TEST_F(ChunkVerbs, PutWhoseTxnNeverLandsLeavesNoStaleRef) {
+  // The dedup-hit put appends its ref to the cached list in place and
+  // rebinds the cache to the appended bytes before the write is
+  // submitted.  If the primary dies before the write fans out, the store
+  // keeps the old bytes: the next put must decode them, not reuse the
+  // edited list, or the lost ref would resurface.
+  Buffer data = random_buffer(1024, 26);
+  const std::string cid = "sha256:c7";
+  ASSERT_TRUE(run_op(make_put(rep_, cid, data, {0, "a", 0})).is_ok());
+  const OsdId primary = cluster_->osdmap().primary(rep_, cid);
+  Osd* p = cluster_->osd(primary);
+  p->set_failure_hook([&](OsdFailurePoint pt, const ObjectKey& k) {
+    return pt == OsdFailurePoint::kBeforeReplicatedFanout && k.oid == cid;
+  });
+  EXPECT_FALSE(run_op(make_put(rep_, cid, data, {0, "b", 0})).is_ok());
+  p->set_failure_hook(nullptr);
+  cluster_->revive_osd(primary, /*wipe_store=*/false);
+  ASSERT_EQ(cluster_->osdmap().primary(rep_, cid), primary);
+
+  const uint64_t decodes = p->perf().get(l_osd_refs_decodes);
+  ASSERT_TRUE(run_op(make_put(rep_, cid, data, {0, "c", 0})).is_ok());
+  EXPECT_EQ(p->perf().get(l_osd_refs_decodes), decodes + 1);
+  const std::vector<ChunkRef> want = {{0, "a", 0}, {0, "c", 0}};
+  EXPECT_EQ(refs_of(cid), want);
+}
+
 TEST_F(ChunkVerbs, ConcurrentPutsOfSameNewChunkSerialize) {
   // Two puts of the same brand-new chunk racing: both must survive as
   // refs — the per-object op queue prevents the create/create race.

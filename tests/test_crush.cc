@@ -237,6 +237,92 @@ TEST(OsdMap, SameContentIdSamePlacement) {
   EXPECT_EQ(m.pg_of(p, chunk_oid), m.pg_of(p, chunk_oid));
 }
 
+// The placement table must hold exactly what CRUSH computes for every
+// (pool, pg) under the map's current liveness.
+void expect_table_matches_crush(const OsdMap& m, const std::set<OsdId>& down) {
+  const std::vector<OsdId> excl(down.begin(), down.end());
+  for (PoolId p : m.pool_ids()) {
+    const PoolConfig& cfg = m.pool(p);
+    for (uint32_t pg = 0; pg < cfg.pg_num; pg++) {
+      const uint64_t seed = mix64((static_cast<uint64_t>(p) << 32) | pg);
+      ASSERT_EQ(m.acting_for_pg(p, pg), m.crush().select(seed, cfg.size(), excl))
+          << "pool " << p << " pg " << pg << " epoch " << m.epoch();
+    }
+  }
+}
+
+TEST(OsdMap, PlacementTableMatchesCrushAcrossMutations) {
+  OsdMap m;
+  std::set<OsdId> down;
+  for (int h = 0; h < 3; h++) {
+    for (int d = 0; d < 2; d++) m.add_osd(h * 2 + d, h);
+  }
+  PoolConfig rep;
+  rep.name = "rep";
+  rep.pg_num = 64;
+  const PoolId pr = m.create_pool(rep);
+  expect_table_matches_crush(m, down);
+  // Handed-out sets are updated in place, never reallocated.
+  const std::vector<OsdId>* pg0 = &m.acting_for_pg(pr, 0);
+
+  m.mark_down(2);
+  down.insert(2);
+  expect_table_matches_crush(m, down);
+
+  // A pool created while an OSD is down is placed around it.
+  PoolConfig ec;
+  ec.name = "ec";
+  ec.scheme = RedundancyScheme::kErasure;
+  ec.pg_num = 32;
+  const PoolId pe = m.create_pool(ec);
+  expect_table_matches_crush(m, down);
+  for (uint32_t pg = 0; pg < 32; pg++) {
+    for (OsdId o : m.acting_for_pg(pe, pg)) EXPECT_NE(o, 2);
+  }
+
+  // Growing the cluster while an OSD is down, then more failures.
+  m.add_osd(6, 3);
+  m.add_osd(7, 3);
+  expect_table_matches_crush(m, down);
+  m.mark_down(6);
+  down.insert(6);
+  m.mark_down(0);
+  down.insert(0);
+  expect_table_matches_crush(m, down);
+
+  // The OSD that went down first comes back: its old PGs return to it.
+  m.mark_up(2);
+  down.erase(2);
+  expect_table_matches_crush(m, down);
+  m.mark_up(6);
+  m.mark_up(0);
+  down.clear();
+  expect_table_matches_crush(m, down);
+
+  EXPECT_EQ(pg0, &m.acting_for_pg(pr, 0));
+
+  // Per-object lookups go through the same table.
+  for (int i = 0; i < 200; i++) {
+    const std::string oid = "o" + std::to_string(i);
+    EXPECT_EQ(m.acting(pr, oid), m.acting_for_pg(pr, m.pg_of(pr, oid)));
+    EXPECT_EQ(m.primary(pr, oid), m.acting(pr, oid).front());
+  }
+}
+
+TEST(OsdMap, DedupConfigChangeKeepsPlacement) {
+  OsdMap m = paper_osdmap();
+  PoolConfig cfg;
+  cfg.name = "meta";
+  const PoolId p = m.create_pool(cfg);
+  const uint64_t e0 = m.epoch();
+  DedupTierConfig d;
+  d.mode = DedupMode::kPostProcess;
+  m.set_dedup_config(p, d);
+  EXPECT_GT(m.epoch(), e0);
+  EXPECT_TRUE(m.pool(p).dedup.enabled());
+  expect_table_matches_crush(m, {});
+}
+
 TEST(OsdMap, PgWithinBounds) {
   OsdMap m = paper_osdmap();
   PoolConfig cfg;

@@ -18,6 +18,7 @@
 
 #include "dedup/chunker.h"
 #include "dedup/fingerprint_index.h"
+#include "dedup/invariants.h"
 #include "hash/weak_hash.h"
 #include "osd/refs_cache.h"
 #include "rados/fault_campaign.h"
@@ -332,12 +333,100 @@ TEST(RefsCache, DeleteRecreateNeverReusesStaleRefs) {
   EXPECT_TRUE(r->content_equals(piece));
 }
 
+TEST(RefsCache, InPlaceEditRebindsToNewBytes) {
+  // The put path edits the cached list in place and rebinds the entry to
+  // the appended bytes.  The new bytes hit; the old stored bytes (what the
+  // store still holds if the write never lands) miss.
+  RefsCache cache(8);
+  const ObjectKey key{1, "sha256:cafe"};
+  const std::vector<ChunkRef> first = {{1, "a", 0}};
+  const Buffer stored = encode_refs(first);
+  std::vector<ChunkRef>* refs = cache.put(key, stored, std::vector(first));
+  ASSERT_NE(refs, nullptr);
+  refs->push_back({1, "b", kChunk});
+  const Buffer appended = append_refs(stored, *refs, first.size());
+  ASSERT_TRUE(appended.content_equals(encode_refs(*refs)));
+  cache.rebind(key, appended);
+
+  const std::vector<ChunkRef>* hit = cache.find(key, appended);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->size(), 2u);
+  EXPECT_EQ(cache.find(key, stored), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+
+  // A refused binding leaves the caller's list intact.
+  std::vector<ChunkRef> mine = first;
+  EXPECT_EQ(cache.put(key, Buffer(), std::move(mine)), nullptr);
+  EXPECT_EQ(mine.size(), 1u);
+}
+
 // --- The tier fast path end to end (DedupHarness) ---
 
 ClusterConfig fastpath_cluster_config(int fp_fastpath) {
   ClusterConfig ccfg = small_cluster_config();
   ccfg.fp_fastpath = fp_fastpath;  // explicit: don't inherit the env
   return ccfg;
+}
+
+TEST(RefsCache, PutAfterCrashedRefWriteDecodesAndConserves) {
+  // A chunk-pool OSD dies at kBeforeChunkRefWrite, so that put's refs
+  // update never lands; the flush re-routes to the surviving holder.
+  // After the restart, recovery installs the survivor's refs xattr, so the
+  // next put on the chunk must miss the cache, decode the stored bytes,
+  // and leave refcount conservation clean.
+  ClusterConfig ccfg = fastpath_cluster_config(1);
+  ccfg.op_timeout = msec(200);  // the crashed put must not hang its flush
+  DedupHarness h(test_tier_config(), ccfg);
+  const Buffer piece = random_buffer(kChunk, 91);
+  const std::string cid =
+      Fingerprint::compute(FingerprintAlgo::kSha256, piece.span()).hex();
+  ASSERT_TRUE(h.write("a", 0, piece).is_ok());
+  ASSERT_TRUE(h.drain());
+  const OsdId p = h.cluster->osdmap().primary(h.chunks, cid);
+  Osd* po = h.cluster->osd(p);
+  // Holders whose metadata primary is the victim would lose their tier
+  // with it; pick ones served elsewhere.
+  std::vector<std::string> holders;
+  for (int i = 0; holders.size() < 2; i++) {
+    const std::string oid = "h" + std::to_string(i);
+    if (h.cluster->osdmap().primary(h.meta, oid) != p) holders.push_back(oid);
+  }
+
+  int fired = 0;
+  po->set_failure_hook([&](OsdFailurePoint pt, const ObjectKey& k) {
+    if (pt != OsdFailurePoint::kBeforeChunkRefWrite || k.oid != cid ||
+        fired > 0) {
+      return false;
+    }
+    fired++;
+    return true;
+  });
+  ASSERT_TRUE(h.write(holders[0], 0, piece).is_ok());
+  (void)h.drain();  // the flush re-routes once the victim is marked down
+  ASSERT_EQ(fired, 1);
+  po->set_failure_hook(nullptr);
+  h.cluster->revive_osd(p, /*wipe_store=*/false);
+  h.cluster->recover();
+  ASSERT_TRUE(h.drain());
+  ASSERT_EQ(h.cluster->osdmap().primary(h.chunks, cid), p);
+
+  const uint64_t decodes = po->perf().get(l_osd_refs_decodes);
+  const uint64_t hits = po->perf().get(l_osd_refs_cache_hits);
+  ASSERT_TRUE(h.write(holders[1], 0, piece).is_ok());
+  ASSERT_TRUE(h.drain());
+  EXPECT_EQ(po->perf().get(l_osd_refs_decodes), decodes + 1);
+  EXPECT_EQ(po->perf().get(l_osd_refs_cache_hits), hits);
+
+  const InvariantReport rep =
+      InvariantChecker(h.cluster.get(), h.meta, h.chunks).check_metadata();
+  EXPECT_TRUE(rep.clean()) << rep.to_string();
+  EXPECT_TRUE(h.refcounts_consistent());
+  EXPECT_EQ(h.total_chunk_refs(), 3u);
+  for (const std::string& oid : {std::string("a"), holders[0], holders[1]}) {
+    auto r = h.read(oid, 0, kChunk);
+    ASSERT_TRUE(r.is_ok()) << oid;
+    EXPECT_TRUE(r->content_equals(piece)) << oid;
+  }
 }
 
 TEST(FpFastpathTier, WeakHitAvoidsSha) {

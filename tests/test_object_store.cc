@@ -190,6 +190,45 @@ TEST(ObjectStore, CreateThenRemoveInOneTxn) {
   EXPECT_FALSE(st.exists(key("tmp")));
 }
 
+TEST(ObjectStore, CreateWriteRemoveRecreateInOneTxn) {
+  // One transaction revives an object it removed: validation must track
+  // liveness op by op, the recreated object keeps only post-remove state,
+  // and its version bumps once.
+  ObjectStore st;
+  Transaction t;
+  t.create(key("obj"));
+  t.write(key("obj"), 0, Buffer::copy_of("old"));
+  t.setxattr(key("obj"), "a", Buffer::copy_of("1"));
+  t.remove(key("obj"));
+  t.write(key("obj"), 0, Buffer::copy_of("new!"));
+  t.omap_set(key("obj"), "k", Buffer::copy_of("v"));
+  t.write(key("other"), 0, Buffer::copy_of("x"));
+  ASSERT_TRUE(st.apply(t).is_ok());
+  ASSERT_TRUE(st.exists(key("obj")));
+  EXPECT_EQ(st.read(key("obj"), 0, 0)->view(), "new!");
+  EXPECT_FALSE(st.getxattr(key("obj"), "a").is_ok());
+  EXPECT_EQ(st.omap_get(key("obj"), "k")->view(), "v");
+  EXPECT_EQ(st.version(key("obj")).value(), 1u);
+  EXPECT_EQ(st.version(key("other")).value(), 1u);
+
+  // Removed twice in one txn: the second remove references a missing
+  // object, so the whole txn fails and nothing applies.
+  Transaction bad;
+  bad.write(key("obj"), 0, Buffer::copy_of("zz"));
+  bad.remove(key("obj"));
+  bad.remove(key("obj"));
+  EXPECT_FALSE(st.apply(bad).is_ok());
+  EXPECT_EQ(st.read(key("obj"), 0, 0)->view(), "new!");
+  EXPECT_EQ(st.version(key("obj")).value(), 1u);
+
+  // Remove as the last op leaves it gone; no version survives.
+  Transaction gone;
+  gone.setxattr(key("obj"), "b", Buffer::copy_of("2"));
+  gone.remove(key("obj"));
+  ASSERT_TRUE(st.apply(gone).is_ok());
+  EXPECT_FALSE(st.exists(key("obj")));
+}
+
 TEST(ObjectStore, VersionBumpsOncePerTxn) {
   ObjectStore st;
   Transaction t;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/encoding.h"
+#include "common/random.h"
 #include "test_util.h"
 
 namespace gdedup {
@@ -35,6 +36,65 @@ TEST(Messages, RefsEmptyAndCorrupt) {
   Encoder e;
   e.put_u32(5);  // claims 5 refs, provides none
   EXPECT_FALSE(decode_refs(e.finish()).is_ok());
+}
+
+// The refs xattr layout written field by field, independent of the
+// production encoder.
+Buffer reference_refs_encoding(const std::vector<ChunkRef>& refs) {
+  Encoder e;
+  e.put_u32(static_cast<uint32_t>(refs.size()));
+  for (const auto& r : refs) {
+    e.put_u32(static_cast<uint32_t>(r.pool));
+    e.put_string(r.oid);
+    e.put_u64(r.offset);
+  }
+  return e.finish();
+}
+
+ChunkRef random_ref(Rng& rng) {
+  // Mostly short holder names, sometimes far past any small-string size.
+  const size_t len = rng.below(8) == 0 ? rng.between(100, 4000)
+                                       : rng.between(0, 24);
+  std::string oid(len, 'a');
+  for (char& c : oid) c = static_cast<char>('a' + rng.below(26));
+  return {static_cast<PoolId>(rng.below(4)), oid, rng.next()};
+}
+
+TEST(Messages, AppendRefsByteIdenticalToFullEncode) {
+  Rng rng(1234);
+  for (int trial = 0; trial < 300; trial++) {
+    std::vector<ChunkRef> refs;
+    for (uint64_t i = rng.below(40); i > 0; i--) refs.push_back(random_ref(rng));
+    const size_t from = static_cast<size_t>(rng.below(refs.size() + 1));
+    const std::vector<ChunkRef> prefix(refs.begin(),
+                                       refs.begin() + static_cast<long>(from));
+    const Buffer want = reference_refs_encoding(refs);
+    ASSERT_TRUE(encode_refs(refs).content_equals(want)) << trial;
+    ASSERT_TRUE(append_refs(encode_refs(prefix), refs, from).content_equals(want))
+        << "trial " << trial << " from " << from;
+    // Appending from an absent xattr is a fresh encode.
+    ASSERT_TRUE(append_refs(Buffer(), refs, 0).content_equals(want));
+    // Nothing new: the stored bytes come back unchanged.
+    ASSERT_TRUE(append_refs(want, refs, refs.size()).content_equals(want));
+  }
+}
+
+TEST(Messages, AppendRefsExtraAndDuplicateRefs) {
+  // Several records appended at once, including a long holder name and a
+  // duplicate of a stored ref: the codec encodes whatever list it is
+  // given (dropping duplicates is the OSD put path's job).
+  const std::vector<ChunkRef> stored = {{0, "a", 0}, {0, "b", 32768}};
+  std::vector<ChunkRef> refs = stored;
+  refs.push_back({0, "c", 0});
+  refs.push_back({0, "c", 32768});
+  refs.push_back({0, std::string(300, 'z'), 1ULL << 40});
+  refs.push_back(stored[0]);
+  const Buffer enc = append_refs(encode_refs(stored), refs, stored.size());
+  EXPECT_TRUE(enc.content_equals(reference_refs_encoding(refs)));
+  auto dec = decode_refs(enc);
+  ASSERT_TRUE(dec.is_ok());
+  ASSERT_EQ(dec->size(), refs.size());
+  for (size_t i = 0; i < refs.size(); i++) EXPECT_TRUE((*dec)[i] == refs[i]);
 }
 
 TEST(Messages, WireBytesScaleWithPayload) {
