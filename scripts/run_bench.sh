@@ -12,8 +12,9 @@
 # Usage: scripts/run_bench.sh [output.json]
 #
 # GDEDUP_EXEC_THREADS selects the exec-pool worker count for the sim bench;
-# the determinism digest is asserted against the frozen serial reference
-# either way.
+# its determinism digest is asserted against the frozen serial digest
+# either way.  Its wall-clock numbers are recorded, not compared with any
+# stored value: only a same-host A/B pair says whether a change is faster.
 #
 # Writes BENCH_PIPELINE.json (MB/s for sha1/sha256/crc32c/fixed/cdc, each
 # with its frozen-seed reference and speedup, the fingerprint-cache hit

@@ -1,5 +1,6 @@
 #include "cluster/osd_map.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/random.h"
@@ -8,6 +9,7 @@ namespace gdedup {
 
 void OsdMap::add_osd(OsdId id, HostId host, double weight) {
   crush_.add_device(id, host, weight);
+  osd_ids_.insert(std::lower_bound(osd_ids_.begin(), osd_ids_.end(), id), id);
   up_[id] = true;
   epoch_++;
   rebuild_placement();

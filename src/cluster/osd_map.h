@@ -130,7 +130,8 @@ class OsdMap {
   void mark_down(OsdId id);
   void mark_up(OsdId id);
   bool is_up(OsdId id) const;
-  std::vector<OsdId> all_osds() const { return crush_.device_ids(); }
+  // Every OSD id, ascending; kept here so hot scans take no copy.
+  const std::vector<OsdId>& all_osds() const { return osd_ids_; }
   std::vector<OsdId> up_osds() const;
   int num_osds() const { return crush_.num_devices(); }
 
@@ -172,6 +173,7 @@ class OsdMap {
 
   uint64_t epoch_ = 1;
   CrushMap crush_;
+  std::vector<OsdId> osd_ids_;  // sorted, as crush_.device_ids()
   std::map<OsdId, bool> up_;
   std::map<PoolId, PoolConfig> pools_;
   // [pool][pg] -> acting set, as of epoch_ (pool ids are dense from 0).

@@ -224,16 +224,28 @@ Status ObjectStore::apply_to_state(const Transaction& txn, const ObjectKey& key,
   return Status::ok();
 }
 
+#ifdef __GLIBCXX__
+static_assert(std::__cache_default<ObjectKey, ObjectKeyHash>::value,
+              "the object index must cache hash codes (see ObjectKeyHash)");
+#endif
+
 Status ObjectStore::apply(const Transaction& txn) {
   MaybeUniqueLock g(mu_);
-  // Per-object existence as the transaction runs.  A transaction touches
-  // one to three objects, so a linear scan of a flat list beats a map;
-  // the list is reused, so steady-state applies allocate nothing here.
-  thread_local std::vector<std::pair<const ObjectKey*, bool>> touched;
+  // Per-object state as the transaction runs: liveness, and the stored
+  // object once found or created, so each object costs one index lookup
+  // per transaction.  A transaction touches one to three objects, so a
+  // linear scan of a flat list beats a map; the list is reused, so
+  // steady-state applies allocate nothing here.
+  struct Touched {
+    const ObjectKey* key;
+    bool exists;
+    ObjectState* st;  // null while absent (or removed by an earlier op)
+  };
+  thread_local std::vector<Touched> touched;
   touched.clear();
-  auto slot = [&touched](const ObjectKey& k) -> bool* {
-    for (auto& [key, ex] : touched) {
-      if (*key == k) return &ex;
+  auto slot = [](const ObjectKey& k) -> Touched* {
+    for (Touched& t : touched) {
+      if (*t.key == k) return &t;
     }
     return nullptr;
   };
@@ -242,21 +254,25 @@ Status ObjectStore::apply(const Transaction& txn) {
   // Track objects the transaction itself creates so create-then-write in
   // one transaction validates.
   for (const auto& op : txn.ops()) {
-    bool* known = slot(op.key);
-    bool ex = known != nullptr ? *known : objects_.count(op.key) > 0;
+    Touched* t = slot(op.key);
+    if (t == nullptr) {
+      auto it = objects_.find(op.key);
+      ObjectState* st = it == objects_.end() ? nullptr : &it->second;
+      t = &touched.emplace_back(Touched{&op.key, st != nullptr, st});
+    }
     switch (op.type) {
       case Transaction::OpType::kCreate:
       case Transaction::OpType::kWrite:
       case Transaction::OpType::kWriteFull:
       case Transaction::OpType::kSetXattr:
       case Transaction::OpType::kOmapSet:
-        ex = true;
+        t->exists = true;
         break;
       case Transaction::OpType::kTruncate:
       case Transaction::OpType::kPunchHole:
       case Transaction::OpType::kRmXattr:
       case Transaction::OpType::kOmapRm:
-        if (!ex) {
+        if (!t->exists) {
           return Status::not_found("txn references missing " + op.key.oid +
                                    " (op " +
                                    std::to_string(static_cast<int>(op.type)) +
@@ -264,23 +280,28 @@ Status ObjectStore::apply(const Transaction& txn) {
         }
         break;
       case Transaction::OpType::kRemove:
-        if (!ex) return Status::not_found("txn removes missing " + op.key.oid);
-        ex = false;
+        if (!t->exists) {
+          return Status::not_found("txn removes missing " + op.key.oid);
+        }
+        t->exists = false;
         break;
-    }
-    if (known != nullptr) {
-      *known = ex;
-    } else {
-      touched.emplace_back(&op.key, ex);
     }
   }
 
   // Mutation pass (cannot fail).  Validation already simulated it, so
-  // `touched` ends holding each object's final liveness.
+  // each entry's `exists` holds the object's final liveness.
   for (const auto& op : txn.ops()) {
-    ObjectState& st = objects_[op.key];  // creates placeholder if absent
+    Touched& t = *slot(op.key);
+    if (op.type == Transaction::OpType::kRemove) {
+      objects_.erase(op.key);
+      t.st = nullptr;
+      continue;
+    }
+    if (t.st == nullptr) t.st = &objects_[op.key];
+    ObjectState& st = *t.st;
     switch (op.type) {
       case Transaction::OpType::kCreate:
+      case Transaction::OpType::kRemove:
         break;
       case Transaction::OpType::kWrite:
         st.data.write(op.off, op.data);
@@ -298,9 +319,6 @@ Status ObjectStore::apply(const Transaction& txn) {
       case Transaction::OpType::kPunchHole:
         st.data.punch_hole(op.off, op.len);
         break;
-      case Transaction::OpType::kRemove:
-        objects_.erase(op.key);
-        break;
       case Transaction::OpType::kSetXattr:
         st.xattrs[op.name] = op.data;
         break;
@@ -316,11 +334,8 @@ Status ObjectStore::apply(const Transaction& txn) {
     }
   }
   // Bump versions once per touched live object.
-  for (const auto& [key, alive] : touched) {
-    if (alive) {
-      auto it = objects_.find(*key);
-      if (it != objects_.end()) it->second.version++;
-    }
+  for (const Touched& t : touched) {
+    if (t.exists) t.st->version++;
   }
   return Status::ok();
 }
@@ -395,6 +410,12 @@ const ObjectState* ObjectStore::find(const ObjectKey& k) const {
   return it == objects_.end() ? nullptr : &it->second;
 }
 
+const ObjectState* ObjectStore::find_prehashed(const PrehashedKey& k) const {
+  MaybeSharedLock g(mu_);
+  auto it = objects_.find(k);
+  return it == objects_.end() ? nullptr : &it->second;
+}
+
 Result<ObjectState> ObjectStore::snapshot(const ObjectKey& k) const {
   MaybeSharedLock g(mu_);
   auto it = objects_.find(k);
@@ -418,6 +439,7 @@ std::vector<ObjectKey> ObjectStore::list(PoolId pool) const {
   for (const auto& [key, st] : objects_) {
     if (key.pool == pool) out.push_back(key);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -426,6 +448,7 @@ std::vector<ObjectKey> ObjectStore::list_all() const {
   std::vector<ObjectKey> out;
   out.reserve(objects_.size());
   for (const auto& [key, st] : objects_) out.push_back(key);
+  std::sort(out.begin(), out.end());
   return out;
 }
 

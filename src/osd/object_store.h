@@ -17,6 +17,8 @@
 #include <map>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/buffer.h"
@@ -43,6 +45,52 @@ struct ObjectKey {
   }
   bool operator==(const ObjectKey& o) const {
     return pool == o.pool && oid == o.oid;
+  }
+};
+
+// The one ObjectKey hash, shared by the store index and the refs cache.
+// std::hash gives a string_view the same value as the equal string, so a
+// borrowed OID hashes like an owned one.
+inline size_t object_key_hash(PoolId pool, std::string_view oid) {
+  return std::hash<std::string_view>{}(oid) * 0x9e3779b97f4a7c15ULL +
+         static_cast<size_t>(pool);
+}
+
+// A borrowed key with its hash computed once: a lookup that copies no OID,
+// and a probe of every OSD's store for one key at the cost of one hash.
+// The OID must outlive the probe.
+struct PrehashedKey {
+  PrehashedKey(PoolId p, std::string_view o)
+      : pool(p), oid(o), hash(object_key_hash(p, o)) {}
+  explicit PrehashedKey(const ObjectKey& k) : PrehashedKey(k.pool, k.oid) {}
+
+  PoolId pool;
+  std::string_view oid;
+  size_t hash;
+};
+
+// The ObjectKey overload is deliberately not noexcept: libstdc++ keeps
+// each node's hash code only for hashers that may throw, and without the
+// cached codes every bucket walk re-hashes the 64-character fingerprint
+// OID of each node it passes.  object_store.cc asserts this.
+struct ObjectKeyHash {
+  using is_transparent = void;
+  size_t operator()(const ObjectKey& k) const {
+    return object_key_hash(k.pool, k.oid);
+  }
+  size_t operator()(const PrehashedKey& k) const noexcept { return k.hash; }
+};
+
+struct ObjectKeyEq {
+  using is_transparent = void;
+  bool operator()(const ObjectKey& a, const ObjectKey& b) const {
+    return a == b;
+  }
+  bool operator()(const PrehashedKey& a, const ObjectKey& b) const {
+    return a.pool == b.pool && a.oid == b.oid;
+  }
+  bool operator()(const ObjectKey& a, const PrehashedKey& b) const {
+    return (*this)(b, a);
   }
 };
 
@@ -144,7 +192,13 @@ class ObjectStore {
   };
 
   explicit ObjectStore(bool compress_at_rest = false)
-      : compress_at_rest_(compress_at_rest) {}
+      : compress_at_rest_(compress_at_rest) {
+    // Most probes miss (a chunk create asks every peer store), and a miss
+    // in a non-empty bucket walks nodes whose cached hash codes sit past
+    // the large ObjectState, a cache miss each.  Sparse buckets end most
+    // misses at the bucket array, for 24 more bytes of buckets per object.
+    objects_.max_load_factor(0.25f);
+  }
 
   // Optional worker pool for the compression-at-rest stats scan (the
   // kCompress kernel).  The scan walks every stored byte, so it dominates
@@ -158,7 +212,7 @@ class ObjectStore {
 
   bool exists(const ObjectKey& k) const {
     MaybeSharedLock g(mu_);
-    return objects_.count(k) > 0;
+    return objects_.contains(k);
   }
   Result<uint64_t> size(const ObjectKey& k) const;
   Result<uint64_t> version(const ObjectKey& k) const;
@@ -173,13 +227,18 @@ class ObjectStore {
   std::vector<std::pair<std::string, Buffer>> omap_list(
       const ObjectKey& k, const std::string& prefix) const;
 
+  // Returned pointers stay valid until that object is removed or
+  // replaced; inserting other objects never moves one.
   const ObjectState* find(const ObjectKey& k) const;
+  const ObjectState* find_prehashed(const PrehashedKey& k) const;
 
   // Full-state snapshot / install, used by recovery push/pull.
   Result<ObjectState> snapshot(const ObjectKey& k) const;
   void install(const ObjectKey& k, ObjectState state);
   Status remove_object(const ObjectKey& k);
 
+  // Keys in (pool, oid) order, whatever the index order: recovery,
+  // invariant walks, restart rescans and the fault campaign depend on it.
   std::vector<ObjectKey> list(PoolId pool) const;
   std::vector<ObjectKey> list_all() const;
 
@@ -207,7 +266,13 @@ class ObjectStore {
   // excluded by protocol order: all cross-node access to an object's
   // contents flows through its primary OSD (DESIGN.md §9).
   mutable std::shared_mutex mu_;
-  std::map<ObjectKey, ObjectState> objects_;
+  // Hash-indexed: the data path looks objects up by 64-character
+  // fingerprint OIDs, where a tree walk pays a string compare per level.
+  std::unordered_map<ObjectKey, ObjectState, ObjectKeyHash, ObjectKeyEq>
+      objects_;
 };
 
 }  // namespace gdedup
+
+template <>
+struct std::hash<gdedup::ObjectKey> : gdedup::ObjectKeyHash {};

@@ -170,7 +170,8 @@ Result<Buffer> Osd::local_getxattr(PoolId pool, const std::string& oid,
 
 bool Osd::local_exists(PoolId pool, const std::string& oid) const {
   const ObjectStore* st = store_if_exists(pool);
-  return st != nullptr && st->exists({pool, oid});
+  return st != nullptr &&
+         st->find_prehashed(PrehashedKey(pool, oid)) != nullptr;
 }
 
 void Osd::handle_op(OsdOp op, ReplyFn reply) {
@@ -603,25 +604,34 @@ void Osd::chunk_put_ref_locked(const OsdOp& op, ReplyFn reply) {
   // with only the new reference would orphan every peer-recorded one — a
   // later deref-to-zero would then destroy a chunk another object's map
   // still names.  Union the surviving refs in.
+  //
+  // Every create runs this scan, and on unique-heavy workloads nearly
+  // every put is a create, almost always over peers that hold nothing.
+  // So the key is hashed once and each peer costs one index probe; a miss
+  // builds nothing.
   RefsView v;
   std::vector<ChunkRef>& refs = v.owned;
   refs.push_back(op.ref);
   for (const auto& r : op.extra_refs) {
     if (std::find(refs.begin(), refs.end(), r) == refs.end()) refs.push_back(r);
   }
+  const PrehashedKey probe(key);
   for (OsdId pid : ctx_->osdmap().all_osds()) {
     if (pid == id_) continue;
     Osd* peer = ctx_->osd(pid);
     if (peer == nullptr || !peer->is_up()) continue;
     const ObjectStore* ps = peer->store_if_exists(op.pool);
-    if (ps == nullptr) continue;
-    auto praw = ps->getxattr(key, kRefsXattr);
-    if (!praw.is_ok()) continue;
-    // Peer reads stay uncached — they cross OSDs, and this degraded-create
-    // path is rare — but their metadata traffic is still accounted.
-    perf_->inc(l_osd_meta_bytes_read, praw.value().size());
+    const ObjectState* pst =
+        ps == nullptr ? nullptr : ps->find_prehashed(probe);
+    if (pst == nullptr) continue;
+    auto xit = pst->xattrs.find(kRefsXattr);
+    if (xit == pst->xattrs.end()) continue;
+    const Buffer& praw = xit->second;
+    // Peer reads stay uncached — they cross OSDs and rarely find
+    // anything — but their metadata traffic is still accounted.
+    perf_->inc(l_osd_meta_bytes_read, praw.size());
     perf_->inc(l_osd_refs_decodes);
-    auto pdec = decode_refs(praw.value());
+    auto pdec = decode_refs(praw);
     if (!pdec.is_ok()) continue;
     for (const auto& r : pdec.value()) {
       if (std::find(refs.begin(), refs.end(), r) == refs.end()) {

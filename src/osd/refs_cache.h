@@ -36,18 +36,6 @@
 #include "osd/object_store.h"
 
 namespace gdedup {
-struct ObjectKeyHash {
-  size_t operator()(const ObjectKey& k) const noexcept {
-    size_t h = std::hash<std::string>{}(k.oid);
-    return h * 0x9e3779b97f4a7c15ULL + static_cast<size_t>(k.pool);
-  }
-};
-}  // namespace gdedup
-
-template <>
-struct std::hash<gdedup::ObjectKey> : gdedup::ObjectKeyHash {};
-
-namespace gdedup {
 
 class RefsCache {
  public:

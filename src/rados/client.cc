@@ -227,6 +227,23 @@ void BlockDevice::write(uint64_t off, Buffer data,
 void BlockDevice::read(uint64_t off, uint64_t len,
                        std::function<void(Result<Buffer>)> cb) {
   assert(off + len <= size_);
+  const uint64_t obj_off = off % object_size_;
+  if (len > 0 && obj_off + len <= object_size_) {
+    // Inside one object: the reply buffer is the result.
+    client_->read(pool_, object_for(off), obj_off, len,
+                  [len, cb = std::move(cb)](Result<Buffer> r) {
+                    if (r.is_ok()) {
+                      Buffer b = std::move(r).value();
+                      b.resize(len);  // short reads (holes) zero-fill
+                      cb(std::move(b));
+                    } else if (r.status().code() == Code::kNotFound) {
+                      cb(Buffer(len));
+                    } else {
+                      cb(r.status());
+                    }
+                  });
+    return;
+  }
   struct State {
     Buffer out;
     int outstanding = 0;

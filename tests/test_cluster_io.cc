@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_util.h"
 
 namespace gdedup {
@@ -325,6 +327,44 @@ TEST_F(ChunkVerbs, PutWhoseTxnNeverLandsLeavesNoStaleRef) {
   EXPECT_EQ(refs_of(cid), want);
 }
 
+TEST_F(ChunkVerbs, CreateUnionsRefsFromEveryUpPeer) {
+  // A primary that lost its copy "creates" the chunk again.  The refs it
+  // seeds must include every ref a surviving holder recorded, including a
+  // stray copy off the acting set, or a later deref-to-zero would destroy
+  // a chunk those refs still name.
+  Buffer data = random_buffer(4096, 28);
+  const std::string cid = "sha256:c9";
+  const ChunkRef a{0, "a", 0}, b{0, "b", 4096}, c{0, "c", 8192};
+  ASSERT_TRUE(run_op(make_put(rep_, cid, data, a)).is_ok());
+  const std::vector<OsdId> acting = cluster_->osdmap().acting(rep_, cid);
+  ASSERT_EQ(acting.size(), 2u);
+  const ObjectKey key{rep_, cid};
+  Osd* primary = cluster_->osd(acting[0]);
+  ASSERT_TRUE(primary->store(rep_).remove_object(key).is_ok());
+  ASSERT_TRUE(cluster_->osd(acting[1])->local_exists(rep_, cid));
+
+  OsdId stray = -1;
+  for (OsdId id : cluster_->osdmap().all_osds()) {
+    if (std::find(acting.begin(), acting.end(), id) == acting.end()) {
+      stray = id;
+      break;
+    }
+  }
+  ASSERT_GE(stray, 0);
+  ObjectState copy;
+  copy.data.write(0, data);
+  copy.logical_size = data.size();
+  copy.xattrs[kRefsXattr] = encode_refs({b});
+  copy.version = 1;
+  cluster_->osd(stray)->store(rep_).install(key, std::move(copy));
+
+  ASSERT_TRUE(run_op(make_put(rep_, cid, data, c)).is_ok());
+  std::vector<ChunkRef> got = refs_of(cid);
+  std::sort(got.begin(), got.end());
+  const std::vector<ChunkRef> want = {a, b, c};
+  EXPECT_EQ(got, want);
+}
+
 TEST_F(ChunkVerbs, ConcurrentPutsOfSameNewChunkSerialize) {
   // Two puts of the same brand-new chunk racing: both must survive as
   // refs — the per-object op queue prevents the create/create race.
@@ -364,6 +404,50 @@ TEST_F(ClusterIo, BlockDeviceUnwrittenReadsZero) {
   auto r = sync_bdev_read(*cluster_, bd, 1 << 20, 4096);
   ASSERT_TRUE(r.is_ok());
   for (size_t i = 0; i < r->size(); i++) ASSERT_EQ((*r)[i], 0);
+}
+
+TEST_F(ClusterIo, BlockDeviceNeverWrittenObjectReadsZero) {
+  BlockDevice bd(client_.get(), rep_, "img3", 8ull << 20);
+  auto r = sync_bdev_read(*cluster_, bd, 12345, 8192);
+  ASSERT_TRUE(r.is_ok());
+  ASSERT_EQ(r->size(), 8192u);
+  for (size_t i = 0; i < r->size(); i++) ASSERT_EQ((*r)[i], 0);
+}
+
+TEST_F(ClusterIo, BlockDeviceSingleAndCrossObjectReadsAgree) {
+  // A read inside one object takes the reply buffer as is; a read across
+  // a boundary assembles the pieces.  Both must see the same bytes,
+  // including the zero tail past an object's written end.
+  BlockDevice bd(client_.get(), rep_, "img4", 8ull << 20, 1 << 20);
+  Buffer data = random_buffer(96 * 1024, 31);
+  const uint64_t base = (1 << 20) - 64 * 1024;  // 64 KiB before the boundary
+  ASSERT_TRUE(sync_bdev_write(*cluster_, bd, base, data).is_ok());
+  auto cross = sync_bdev_read(*cluster_, bd, base - 4096, 128 * 1024);
+  ASSERT_TRUE(cross.is_ok());
+  ASSERT_EQ(cross->size(), 128u * 1024);
+  for (uint64_t off = base - 4096; off + 8192 <= base - 4096 + 128 * 1024;
+       off += 8192) {
+    if (off / (1 << 20) != (off + 8191) / (1 << 20)) continue;
+    auto one = sync_bdev_read(*cluster_, bd, off, 8192);
+    ASSERT_TRUE(one.is_ok()) << off;
+    EXPECT_TRUE(one->content_equals(cross->slice(off - (base - 4096), 8192)))
+        << off;
+  }
+  EXPECT_TRUE(cross->slice(4096, data.size()).content_equals(data));
+}
+
+TEST_F(ClusterIo, BlockDeviceReadFailsWithEveryOsdDown) {
+  BlockDevice bd(client_.get(), rep_, "img5", 8ull << 20, 1 << 20);
+  Buffer data = random_buffer(64 * 1024, 32);
+  const uint64_t base = (1 << 20) - 32 * 1024;
+  ASSERT_TRUE(sync_bdev_write(*cluster_, bd, base, data).is_ok());
+  // Placement re-maps around a down OSD, so only a cluster with every OSD
+  // down leaves both objects without a live acting member.
+  for (OsdId id : cluster_->osdmap().all_osds()) cluster_->fail_osd(id);
+  auto one = sync_bdev_read(*cluster_, bd, base, 8192);
+  EXPECT_FALSE(one.is_ok());
+  auto cross = sync_bdev_read(*cluster_, bd, base, data.size());
+  EXPECT_FALSE(cross.is_ok());
 }
 
 }  // namespace

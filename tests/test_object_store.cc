@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 
 namespace gdedup {
@@ -283,6 +285,76 @@ TEST(ObjectStore, PerPoolStats) {
   EXPECT_EQ(st.stats(2).logical_bytes, 20u);
   EXPECT_EQ(st.list(1).size(), 1u);
   EXPECT_EQ(st.list_all().size(), 2u);
+}
+
+TEST(ObjectStore, ListingIsSortedWhateverTheInsertOrder) {
+  // The index is hashed, but listings keep (pool, oid) order: recovery,
+  // invariant walks and restart rescans visit objects in that order.
+  ObjectStore st;
+  std::vector<ObjectKey> keys;
+  for (PoolId pool : {3, 1}) {
+    for (int i = 0; i < 300; i++) {
+      keys.push_back({pool, "obj-" + std::to_string(i * 7919 % 1000)});
+    }
+  }
+  Rng rng(5);
+  for (size_t i = keys.size(); i > 1; i--) {
+    std::swap(keys[i - 1], keys[rng.below(i)]);
+  }
+  for (const auto& k : keys) {
+    Transaction t;
+    t.create(k);
+    ASSERT_TRUE(st.apply(t).is_ok());
+  }
+  std::vector<ObjectKey> want = keys;
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(st.list_all(), want);
+  for (PoolId pool : {1, 3}) {
+    std::vector<ObjectKey> pool_want;
+    for (const auto& k : want) {
+      if (k.pool == pool) pool_want.push_back(k);
+    }
+    EXPECT_EQ(st.list(pool), pool_want) << "pool " << pool;
+  }
+  EXPECT_TRUE(st.list(2).empty());
+}
+
+TEST(ObjectStore, FoundStateSurvivesRehash) {
+  ObjectStore st;
+  Transaction t;
+  t.write(key("anchor"), 0, Buffer::copy_of("still here"));
+  ASSERT_TRUE(st.apply(t).is_ok());
+  const ObjectState* anchor = st.find(key("anchor"));
+  ASSERT_NE(anchor, nullptr);
+  for (int i = 0; i < 5000; i++) {
+    Transaction more;
+    more.create(key("filler-" + std::to_string(i)));
+    ASSERT_TRUE(st.apply(more).is_ok());
+  }
+  EXPECT_EQ(st.find(key("anchor")), anchor);
+  EXPECT_EQ(anchor->logical_size, 10u);
+  EXPECT_EQ(anchor->data.read(0, 10).view(), "still here");
+}
+
+TEST(ObjectStore, PrehashedFindAgreesWithFind) {
+  ObjectStore st;
+  for (int i = 0; i < 200; i += 2) {
+    Transaction t;
+    t.create({i % 3, "chunk-" + std::to_string(i)});
+    ASSERT_TRUE(st.apply(t).is_ok());
+  }
+  int hits = 0;
+  for (int i = 0; i < 200; i++) {
+    for (PoolId pool = 0; pool < 3; pool++) {
+      const ObjectKey k{pool, "chunk-" + std::to_string(i)};
+      const ObjectState* want = st.find(k);
+      EXPECT_EQ(st.find_prehashed(PrehashedKey(k)), want)
+          << pool << "/" << k.oid;
+      EXPECT_EQ(PrehashedKey(k).hash, ObjectKeyHash{}(k));
+      hits += want != nullptr;
+    }
+  }
+  EXPECT_EQ(hits, 100);
 }
 
 TEST(ObjectStore, CompressionAtRestShrinksPhysical) {
