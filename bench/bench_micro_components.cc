@@ -13,6 +13,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string_view>
 #include <unordered_map>
@@ -27,11 +28,13 @@
 #include "dedup/chunk_map.h"
 #include "dedup/chunker.h"
 #include "dedup/fingerprint_cache.h"
+#include "ec/galois.h"
 #include "ec/reed_solomon.h"
 #include "hash/fingerprint.h"
 #include "hash/rabin.h"
 #include "hash/sha1.h"
 #include "hash/sha256.h"
+#include "hash/weak_hash.h"
 #include "reference_impls.h"
 #include "sim_e2e_scenario.h"
 #include "workload/content.h"
@@ -314,6 +317,70 @@ int run_pipeline_suite(const std::string& json_path, bool smoke) {
     j.add("crc32c_mbps", mbps);
     j.add("crc32c_ref_mbps", ref_mbps);
     j.add("crc32c_speedup", mbps / ref_mbps);
+  }
+
+  // --- weak hash: 8-lane live hash vs the serial FNV it replaced; the
+  //     value must equal the plain lane definition ---
+  {
+    const size_t lens[] = {0, 1, 63, 64, 65, 200, hash_len};
+    for (size_t n : lens) {
+      const auto s = hash_buf.span().subspan(0, n);
+      if (WeakHasher::oneshot(s) != bench::ref::weak_hash_lanes(s)) {
+        std::fprintf(stderr, "FATAL: weak hash != lane reference (len %zu)\n",
+                     n);
+        return 1;
+      }
+    }
+    const double mbps = measure_mbps(
+        [&] { benchmark::DoNotOptimize(WeakHasher::oneshot(hash_buf.span())); },
+        hash_len, min_sec);
+    const double ref_mbps = measure_mbps(
+        [&] {
+          benchmark::DoNotOptimize(
+              bench::ref::weak_hash_serial(hash_buf.span()));
+        },
+        hash_len, min_sec);
+    j.add("weak_hash_mbps", mbps);
+    j.add("weak_hash_ref_mbps", ref_mbps);
+    j.add("weak_hash_speedup", mbps / ref_mbps);
+  }
+
+  // --- GF(256) multiply-accumulate (EC encode's inner loop): live kernel
+  //     vs the log/exp table loop, byte-identical for every constant ---
+  {
+    const uint8_t* src = hash_buf.data();
+    std::vector<uint8_t> live(hash_len), ref(hash_len);
+    for (int c = 0; c < 256; c++) {
+      // Odd length and offset: the vector blocks and the scalar tail.
+      const size_t n = hash_len - 1 - static_cast<size_t>(c);
+      std::fill(live.begin(), live.end(), uint8_t(c));
+      std::fill(ref.begin(), ref.end(), uint8_t(c));
+      gf256::mul_acc(live.data(), src + c % 7, n, static_cast<uint8_t>(c));
+      bench::ref::gf256_mul_acc(ref.data(), src + c % 7, n,
+                                static_cast<uint8_t>(c));
+      if (live != ref) {
+        std::fprintf(stderr, "FATAL: gf256 mul_acc mismatch (c=%d)\n", c);
+        return 1;
+      }
+    }
+    constexpr uint8_t kCoef = 0x8e;  // a typical Cauchy coefficient
+    const double mbps = measure_mbps(
+        [&] {
+          gf256::mul_acc(live.data(), src, hash_len, kCoef);
+          benchmark::DoNotOptimize(live.data());
+          benchmark::ClobberMemory();
+        },
+        hash_len, min_sec);
+    const double ref_mbps = measure_mbps(
+        [&] {
+          bench::ref::gf256_mul_acc(ref.data(), src, hash_len, kCoef);
+          benchmark::DoNotOptimize(ref.data());
+          benchmark::ClobberMemory();
+        },
+        hash_len, min_sec);
+    j.add("gf256_mul_acc_mbps", mbps);
+    j.add("gf256_mul_acc_ref_mbps", ref_mbps);
+    j.add("gf256_mul_acc_speedup", mbps / ref_mbps);
   }
 
   // --- fixed chunking ---

@@ -321,6 +321,112 @@ inline uint32_t crc32c_slice4(std::span<const uint8_t> data,
   return ~crc;
 }
 
+// ------------------------------------------------------------- weak hash
+//
+// weak_hash_serial is the pre-lane weak hash (one FNV multiply chain over
+// 8-byte words + splitmix64), kept as the speed baseline.  It equals the
+// live hash only below 64 bytes.  weak_hash_lanes is the live hash's
+// definition (hash/weak_hash.h) written out plainly, word by word with no
+// buffering: the value the live hash must reproduce.
+
+inline uint64_t weak_word(std::span<const uint8_t> d, size_t at) {
+  uint64_t w = 0;  // little-endian, zero-padded past the end
+  for (size_t b = 0; b < 8 && at + b < d.size(); b++) {
+    w |= uint64_t{d[at + b]} << (8 * b);
+  }
+  return w;
+}
+
+inline uint64_t weak_step(uint64_t h, uint64_t w) {
+  return (h ^ w) * 0x100000001b3ULL;
+}
+
+inline uint64_t weak_finalize(uint64_t h, uint64_t len) {
+  h ^= len;
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h;
+}
+
+constexpr uint64_t kWeakBasis = 0xcbf29ce484222325ULL;
+
+inline uint64_t weak_hash_serial(std::span<const uint8_t> data) {
+  uint64_t h = kWeakBasis;
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  while (n >= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    h = weak_step(h, w);
+    p += 8;
+    n -= 8;
+  }
+  if (n > 0) {
+    uint8_t w[8] = {};
+    std::memcpy(w, p, n);
+    uint64_t v;
+    std::memcpy(&v, w, 8);
+    h = weak_step(h, v);
+  }
+  return weak_finalize(h, data.size());
+}
+
+inline uint64_t weak_hash_lanes(std::span<const uint8_t> d) {
+  const size_t stripes = d.size() / 64;
+  uint64_t h = kWeakBasis;
+  if (stripes > 0) {
+    uint64_t lane[8];
+    for (uint64_t& l : lane) l = kWeakBasis;
+    for (size_t s = 0; s < stripes; s++) {
+      for (size_t i = 0; i < 8; i++) {
+        lane[i] = weak_step(lane[i], weak_word(d, s * 64 + i * 8));
+      }
+    }
+    for (uint64_t l : lane) h = weak_step(h, l);
+  }
+  for (size_t at = stripes * 64; at < d.size(); at += 8) {
+    h = weak_step(h, weak_word(d, at));
+  }
+  return weak_finalize(h, d.size());
+}
+
+// ------------------------------------------------- GF(256) multiply-add
+//
+// The seed's bulk kernel: one log/exp table lookup (and a zero branch)
+// per byte, field 0x11d.
+
+inline void gf256_mul_acc(uint8_t* dst, const uint8_t* src, size_t n,
+                          uint8_t c) {
+  struct Tables {
+    uint8_t exp[512];
+    int log[256];
+    Tables() {
+      uint16_t x = 1;
+      for (int i = 0; i < 255; i++) {
+        exp[i] = static_cast<uint8_t>(x);
+        log[x] = i;
+        x <<= 1;
+        if (x & 0x100) x ^= 0x11d;
+      }
+      for (int i = 255; i < 512; i++) exp[i] = exp[i - 255];
+      log[0] = -1;
+    }
+  };
+  static const Tables t;
+  if (c == 0) return;
+  if (c == 1) {
+    for (size_t i = 0; i < n; i++) dst[i] ^= src[i];
+    return;
+  }
+  const int lc = t.log[c];
+  for (size_t i = 0; i < n; i++) {
+    if (src[i] != 0) dst[i] ^= t.exp[t.log[src[i]] + lc];
+  }
+}
+
 // ------------------------------------- Rabin rolling hash + CDC chunking
 //
 // The seed rolled byte-at-a-time through an out-of-line roll() with a `%`

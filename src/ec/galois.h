@@ -3,8 +3,10 @@
 // GF(2^8) arithmetic for Reed-Solomon erasure coding.
 //
 // Field: polynomial basis mod x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the
-// conventional choice for storage codes.  Multiplication uses exp/log
-// tables; bulk multiply-accumulate is the inner loop of encode/decode.
+// conventional choice for storage codes.  Scalar multiplication uses
+// exp/log tables.  The bulk kernels (mul_acc, mul_row — the inner loops of
+// encode/decode) use split-nibble tables and AVX2 byte shuffles when the
+// host has AVX2, with the same results bit for bit.
 
 #include <array>
 #include <cstdint>

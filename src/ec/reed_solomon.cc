@@ -31,12 +31,12 @@ std::vector<Buffer> ReedSolomon::encode(const Buffer& data) const {
   std::vector<Buffer> shards;
   shards.reserve(static_cast<size_t>(k_ + m_));
   for (int i = 0; i < k_; i++) {
-    Buffer s(slen);
+    Buffer s = Buffer::for_overwrite(slen);
+    uint8_t* dst = s.mutable_data();
     const size_t off = static_cast<size_t>(i) * slen;
-    if (off < data.size()) {
-      const size_t n = std::min(slen, data.size() - off);
-      std::memcpy(s.mutable_data(), data.data() + off, n);
-    }
+    const size_t n = off < data.size() ? std::min(slen, data.size() - off) : 0;
+    if (n > 0) std::memcpy(dst, data.data() + off, n);
+    if (n < slen) std::memset(dst + n, 0, slen - n);  // padding
     shards.push_back(std::move(s));
   }
   auto parity = encode_parity(shards);
@@ -178,7 +178,7 @@ Status ReedSolomon::reconstruct(
 Result<Buffer> ReedSolomon::decode(std::vector<std::optional<Buffer>> shards,
                                    size_t original_len) const {
   if (auto s = reconstruct(shards); !s.is_ok()) return s;
-  Buffer out(original_len);
+  Buffer out = Buffer::for_overwrite(original_len);
   uint8_t* dst = out.mutable_data();
   size_t copied = 0;
   for (int i = 0; i < k_ && copied < original_len; i++) {
@@ -187,6 +187,8 @@ Result<Buffer> ReedSolomon::decode(std::vector<std::optional<Buffer>> shards,
     std::memcpy(dst + copied, s.data(), n);
     copied += n;
   }
+  // Past the shards (a length the shards cannot cover) reads as zeros.
+  if (copied < original_len) std::memset(dst + copied, 0, original_len - copied);
   return out;
 }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "hash/weak_hash.h"
 #include "osd/refs_cache.h"
 #include "rados/fault_campaign.h"
+#include "reference_impls.h"
 #include "sim_e2e_scenario.h"
 #include "test_util.h"
 
@@ -37,10 +39,18 @@ constexpr uint32_t kChunk = 32 * 1024;
 
 // --- Weak hash: golden vectors + streaming equivalence ---
 
+// The plain, word-by-word statement of the lane definition: what the
+// buffered, unrolled implementation must equal.
+using bench::ref::weak_hash_lanes;
+
 TEST(WeakHash, GoldenVectors) {
-  // Frozen outputs of the FNV-64-word + splitmix64 construction.  A change
-  // here silently invalidates every persisted fingerprint index, so treat
-  // the function as a wire format.
+  // Frozen outputs.  The hash is host-side only: it picks candidates for
+  // byte verification and shards the in-memory index, nothing persists
+  // it, and the FpFastpathDeterminism tests below show no simulated
+  // outcome depends on it.  These vectors pin it against accidental
+  // change.  Inputs under 64 bytes are word-serial FNV + splitmix64; the
+  // 256-byte and 32 KiB vectors go through the lanes and equal the plain
+  // definition.
   EXPECT_EQ(WeakHasher::oneshot({}), 0xf52a15e9a9b5e89bULL);
 
   const auto vec = [](const char* s) {
@@ -53,19 +63,37 @@ TEST(WeakHash, GoldenVectors) {
             0xb4a339c371ac5916ULL);
 
   Buffer zeros(kChunk);  // zero-filled
-  EXPECT_EQ(WeakHasher::oneshot(zeros.span()), 0x5f80f3398eeefe43ULL);
+  EXPECT_EQ(WeakHasher::oneshot(zeros.span()), 0x4663520c642014b9ULL);
+  EXPECT_EQ(weak_hash_lanes(zeros.span()), 0x4663520c642014b9ULL);
 
   Buffer seq(256);
   for (size_t i = 0; i < 256; i++) seq.mutable_data()[i] = uint8_t(i);
-  EXPECT_EQ(WeakHasher::oneshot(seq.span()), 0xa87803af8d4456deULL);
+  EXPECT_EQ(WeakHasher::oneshot(seq.span()), 0x54809950b14a720fULL);
+  EXPECT_EQ(weak_hash_lanes(seq.span()), 0x54809950b14a720fULL);
+}
+
+TEST(WeakHash, OneshotMatchesLaneReference) {
+  // Every tail length, below, at and across the 64-byte stripe, then a
+  // whole chunk.  Below one stripe the value is the pre-lane serial
+  // hash's.
+  Buffer data = random_buffer(300, 0x1a7e);
+  for (size_t n = 0; n <= data.size(); n++) {
+    const auto s = data.span().subspan(0, n);
+    EXPECT_EQ(WeakHasher::oneshot(s), weak_hash_lanes(s)) << "length " << n;
+    if (n < WeakHasher::kStripe) {  // below one stripe: the serial hash
+      EXPECT_EQ(WeakHasher::oneshot(s), bench::ref::weak_hash_serial(s));
+    }
+  }
+  Buffer chunk = random_buffer(kChunk, 0xc4c4);
+  EXPECT_EQ(WeakHasher::oneshot(chunk.span()), weak_hash_lanes(chunk.span()));
 }
 
 TEST(WeakHash, IncrementalMatchesOneshot) {
   // digest() is defined over the byte stream only — split points must not
-  // matter.  Exhaustive over every split of a short buffer (covers all
-  // tail-length x word-alignment combinations), then irregular pieces
-  // over a longer one.
-  Buffer data = random_buffer(131, 0xfeed);
+  // matter.  Exhaustive over every split of a 200-byte buffer (three
+  // stripe boundaries, every tail length on both sides), then irregular
+  // pieces over a longer one.
+  Buffer data = random_buffer(200, 0xfeed);
   const uint64_t want = WeakHasher::oneshot(data.span());
   for (size_t cut = 0; cut <= data.size(); cut++) {
     WeakHasher h;
@@ -77,11 +105,11 @@ TEST(WeakHash, IncrementalMatchesOneshot) {
 
   Buffer big = random_buffer(64 * 1024 + 13, 0xbeef);
   const uint64_t want_big = WeakHasher::oneshot(big.span());
-  const size_t pieces[] = {1, 3, 7, 8, 9, 13, 64, 1000, 4096, 32768};
+  const size_t pieces[] = {1, 3, 7, 8, 9, 13, 63, 64, 65, 1000, 4096, 32768};
   WeakHasher h;
   size_t off = 0, pi = 0;
   while (off < big.size()) {
-    const size_t n = std::min(pieces[pi++ % 10], big.size() - off);
+    const size_t n = std::min(pieces[pi++ % std::size(pieces)], big.size() - off);
     h.update(big.span().subspan(off, n));
     off += n;
   }
@@ -92,6 +120,10 @@ TEST(WeakHash, IncrementalMatchesOneshot) {
   both.update(big.span());
   both.update(data.span());
   EXPECT_EQ(h.digest(), both.digest());
+  // reset() starts a fresh stream.
+  h.reset();
+  h.update(data.span());
+  EXPECT_EQ(h.digest(), want);
 
   // The raw-pointer alias is the same function.
   EXPECT_EQ(weak_hash64(big.data(), big.size()), want_big);

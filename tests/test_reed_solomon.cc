@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "ec/galois.h"
 
@@ -57,18 +59,43 @@ TEST(Galois, DivisionInvertsMultiplication) {
   }
 }
 
-TEST(Galois, MulAccKernel) {
-  Rng rng(4);
-  std::vector<uint8_t> src(1000), dst(1000), expect(1000);
-  rng.fill(src.data(), src.size());
-  rng.fill(dst.data(), dst.size());
-  expect = dst;
-  const uint8_t c = 0x53;
-  for (size_t i = 0; i < src.size(); i++) {
-    expect[i] ^= gf256::mul(src[i], c);
+TEST(Galois, BulkKernelsMatchScalarMul) {
+  // mul_acc / mul_row against gf256::mul for every constant, at lengths
+  // around the 32-byte vector block, with source and destination each
+  // misaligned from the allocation.
+  const size_t lens[] = {0, 1, 31, 32, 33, 63, 64, 65, 1000, 16384};
+  const size_t shifts[] = {0, 1, 7};
+  Rng rng(18);
+  std::vector<uint8_t> src_mem(16384 + 8), dst_mem(16384 + 8);
+  std::vector<uint8_t> base(16384), acc(16384), row(16384);
+  for (int ci = 0; ci < 256; ci++) {
+    const uint8_t c = static_cast<uint8_t>(ci);
+    for (size_t n : lens) {
+      for (size_t sa : shifts) {
+        for (size_t da : shifts) {
+          uint8_t* src = src_mem.data() + sa;
+          uint8_t* dst = dst_mem.data() + da;
+          rng.fill(src, n);
+          rng.fill(base.data(), n);
+          for (size_t i = 0; i < n; i++) {
+            const uint8_t p = gf256::mul(c, src[i]);
+            acc[i] = base[i] ^ p;
+            row[i] = p;
+          }
+          std::copy_n(base.data(), n, dst);
+          gf256::mul_acc(dst, src, n, c);
+          ASSERT_TRUE(std::equal(dst, dst + n, acc.data()))
+              << "mul_acc c=" << ci << " n=" << n << " src+" << sa
+              << " dst+" << da;
+          std::copy_n(base.data(), n, dst);
+          gf256::mul_row(dst, src, n, c);
+          ASSERT_TRUE(std::equal(dst, dst + n, row.data()))
+              << "mul_row c=" << ci << " n=" << n << " src+" << sa
+              << " dst+" << da;
+        }
+      }
+    }
   }
-  gf256::mul_acc(dst.data(), src.data(), src.size(), c);
-  EXPECT_EQ(dst, expect);
 }
 
 // ---------------------------------------------------------- Reed-Solomon
@@ -86,6 +113,18 @@ TEST(ReedSolomon, EncodeShapesAndPadding) {
   auto shards = rs.encode(data);
   ASSERT_EQ(shards.size(), 5u);
   for (const auto& s : shards) EXPECT_EQ(s.size(), rs.shard_len(1000));
+  // Data shards are the input split in order, then zero padding (2 bytes
+  // here; stored shard bytes, so they must be deterministic).
+  Buffer joined = Buffer::concat(Buffer::concat(shards[0], shards[1]), shards[2]);
+  EXPECT_EQ(joined.view().substr(0, 1000), data.view());
+  EXPECT_EQ(joined[1000], 0);
+  EXPECT_EQ(joined[1001], 0);
+
+  // A data shard past the end of the input is all padding.
+  ReedSolomon rs4(4, 1);
+  auto small = rs4.encode(Buffer::copy_of("abc"));
+  ASSERT_EQ(small[3].size(), 1u);
+  EXPECT_EQ(small[3][0], 0);
 }
 
 TEST(ReedSolomon, DecodeWithoutLoss) {
