@@ -2,7 +2,12 @@
 # Build the whole tree under ASan+UBSan and run the test suite, then run
 # the observability tests under TSan.
 #
-# Usage: scripts/check_sanitizers.sh [ctest-regex]
+# Usage: scripts/check_sanitizers.sh [-L label | ctest-regex]
+#
+# With an argument, the ASan phase runs only the tests it selects: `-L
+# label` those carrying a ctest label (e.g. `-L asan_smoke`), otherwise
+# those whose name matches the regex (ctest -R).  A filter that selects no
+# test is an error, as is any phase below whose filter selects none.
 #
 # Uses separate build directories (build-asan, build-tsan) so the regular
 # build stays untouched.  -fno-sanitize-recover=all turns every sanitizer
@@ -25,7 +30,14 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${repo_root}/build-asan"
-filter="${1:-}"
+filter=()
+if [[ "${1:-}" == "-L" ]]; then
+  [[ -n "${2:-}" ]] || { echo "usage: $0 [-L label | ctest-regex]" >&2; exit 2; }
+  filter=(-L "$2")
+elif [[ -n "${1:-}" ]]; then
+  filter=(-R "$1")
+fi
+ctest_run() { ctest --output-on-failure --no-tests=error "$@"; }
 
 san_flags="-fsanitize=address,undefined -fno-sanitize-recover=all"
 
@@ -36,20 +48,20 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 cmake --build "${build_dir}" -j "$(nproc)"
 
 cd "${build_dir}"
-if [[ -n "${filter}" ]]; then
-  ctest --output-on-failure -R "${filter}"
+if [[ ${#filter[@]} -gt 0 ]]; then
+  ctest_run "${filter[@]}"
 else
   # Fail-fast smoke first: the restore-path bench (assembly window,
   # selective rewrite, zero-copy window slices) and the refs-cache /
   # fingerprint fast path are the heaviest pointer-juggling paths —
   # surface ASan reports there before paying for the full suite.
-  ctest --output-on-failure -L asan_smoke
+  ctest_run -L asan_smoke
   # Recipe metadata-dedup smoke next: the packed codec, batched omap txns
   # and the recipe compactor juggle buffers/iterators across async steps —
   # cheap to fail fast here before the full suite.
-  ctest --output-on-failure -L meta_smoke
-  ctest --output-on-failure -L "telemetry_smoke|churn_smoke"
-  ctest --output-on-failure
+  ctest_run -L meta_smoke
+  ctest_run -L "telemetry_smoke|churn_smoke"
+  ctest_run
 fi
 
 # --- TSan phase: observability layer only --------------------------------
@@ -75,14 +87,14 @@ cd "${tsan_dir}"
 # order.  Parallel windows stay off here: op-trace ids are assigned in
 # wall-clock order across shard workers (DESIGN.md §9), so obs-dump
 # byte-identity is a serial-execution guarantee.
-GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 ctest --output-on-failure -R \
+GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 ctest_run -R \
     'test_observability|perf_dump_smoke|test_exec_pool|fault_smoke|bench_smoke|sim_e2e_smoke'
 
 # Parallel shard windows on top for the digest tests: cross-shard inbox
 # handoff, gated object-store/OSD locks and barrier synchronization get
 # race-checked while the virtual-time digest must not move a byte.
 GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 GDEDUP_SIM_PARALLEL=1 \
-    ctest --output-on-failure -R \
+    ctest_run -R \
     'test_sim_determinism|test_sim_shards|sim_e2e_smoke'
 
 # Fast-path phase: the two-tier fingerprint path forced ON while the exec
@@ -91,7 +103,7 @@ GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 GDEDUP_SIM_PARALLEL=1 \
 # the owning node's event thread); this run makes TSan check that claim
 # wherever shard windows, kernel workers and the refs cache interleave.
 GDEDUP_FP_FASTPATH=1 GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 \
-    ctest --output-on-failure -R \
+    ctest_run -R \
     'test_fp_fastpath|bench_fp_smoke|sim_e2e_smoke'
 
 # Recipe phase: recipe-chunk metadata dedup forced ON under four shards +
@@ -100,5 +112,5 @@ GDEDUP_FP_FASTPATH=1 GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 \
 # here; the recipe-mode digest (frozen in bench_meta --smoke) must not
 # move a byte.
 GDEDUP_RECIPE_DEDUP=1 GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 \
-    ctest --output-on-failure -R \
+    ctest_run -R \
     'test_recipe|meta_smoke'

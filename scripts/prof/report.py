@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Summarize a sampler.c profile: self and inclusive share per function.
+"""Summarize a sampler.c or allocsamp.c profile: self and inclusive share
+per function.
 
-    python3 scripts/prof/report.py PROFILE
+    python3 scripts/prof/report.py [--allocs] PROFILE
 
 Keeps only the samples whose stack has a run_timed frame (the benchmark's
 timed region; inlined frames carry unqualified names), symbolizes every
@@ -11,6 +12,16 @@ into its caller still gets its own row), and prints, per function (top
 
     self  share of kept samples whose innermost frame is the function
     incl  share of kept samples with the function anywhere on the stack
+
+A CPU profile (sampler.c) also gets an "allocator leaf" line: the share
+of kept samples whose innermost frame is operator new/delete or glibc's
+malloc/free code (see ALLOCATOR).
+
+With --allocs the profile is an allocation sample (allocsamp.c): each
+sample is one heap allocation, and only frames of the program's own
+sources are kept (not operator new, and not the system headers' or
+libraries' frames between it and the code), so "self" names the function
+that asked for the memory.
 
 Needs binaries built with -g; -fno-omit-frame-pointer keeps stacks whole.
 Frames in libraries without debug info (libc, libstdc++) are shown as
@@ -27,6 +38,14 @@ import sys
 
 ROOT = re.compile(r"\brun_timed\b")
 TOP = 40
+# Leaf frames that are the allocator itself (CPU profiles).  glibc's
+# malloc internals (_int_malloc, _int_free, malloc_consolidate, ...) are
+# not exported, so addr2line names them after the nearest preceding
+# export: __default_morecore or timer_settime on glibc 2.36 x86-64.
+ALLOCATOR = re.compile(
+    r"^(operator (new|delete)$|libc\.so[.\d]*:(__libc_)?"
+    r"(malloc|calloc|realloc|free|cfree|memalign|__default_morecore|"
+    r"timer_settime)\?$)")
 
 
 def load(path):
@@ -55,7 +74,9 @@ def elf_is_pie(path):
 
 
 def symbolize(maps, addrs):
-    """addr -> tuple of function names, innermost first."""
+    """addr -> tuple of (function, site) frames, innermost first.  The site
+    is "file:line" for the program's own sources, None for system headers
+    (libstdc++ templates) and libraries without debug info."""
     starts = [m[0] for m in maps]
     by_file = collections.defaultdict(list)
     for a in addrs:
@@ -82,8 +103,10 @@ def symbolize(maps, addrs):
             if frames and all(loc.startswith("??") for _, loc in frames):
                 # No debug info: the nearest exported symbol, flagged.
                 frames = [("%s:%s?" % (lib, f), loc) for f, loc in frames]
-            funcs = tuple(f for f, _ in frames if f != "??")
-            names[a] = funcs or ("%s:??" % lib,)
+            names[a] = tuple(
+                (f, None if loc.startswith(("??", "/usr/")) else
+                 loc.rsplit("/", 1)[-1].split(" ")[0])
+                for f, loc in frames if f != "??") or (("%s:??" % lib, None),)
     return names
 
 
@@ -103,9 +126,13 @@ def short(name):
 
 
 def main():
-    if len(sys.argv) != 2:
-        sys.exit("usage: report.py PROFILE")
-    path = sys.argv[1]
+    args = sys.argv[1:]
+    allocs = args[:1] == ["--allocs"]
+    if allocs:
+        args = args[1:]
+    if len(args) != 1:
+        sys.exit("usage: report.py [--allocs] PROFILE")
+    path = args[0]
     maps, samples = load(path)
     if not samples:
         sys.exit("no samples in " + path)
@@ -119,24 +146,38 @@ def main():
     for s in samples:
         stack = []  # innermost first
         for i, a in enumerate(s):
-            stack.extend(names.get(a if i == 0 else a - 1, ("??",)))
-        if not any(ROOT.search(f) for f in stack):
+            stack.extend(names.get(a if i == 0 else a - 1, (("??", None),)))
+        if not any(ROOT.search(f) for f, _ in stack):
             continue
         kept += 1
         # Frames above the root (main, the harness loop) are the same
         # for every kept sample; cut them.
-        cut = next(i for i, f in enumerate(stack) if ROOT.search(f))
-        stack = [short(f) for f in stack[:cut + 1]]
-        self_c[stack[0]] += 1
-        for f in set(stack):
+        cut = next(i for i, (f, _) in enumerate(stack) if ROOT.search(f))
+        stack = [(short(f), site) for f, site in stack[:cut + 1]]
+        if allocs:
+            # The program's own frames, minus operator new (the allocator).
+            # The allocating frame is named with its line (inlined lambdas
+            # carry no useful name) and its caller's, since it is often an
+            # implicit copy constructor.
+            stack = [(f, site) for f, site in stack
+                     if site is not None and f != "operator new"]
+            self_c[" <- ".join("%s (%s)" % fs for fs in stack[:2])] += 1
+        else:
+            self_c[stack[0][0]] += 1
+        for f in {f for f, _ in stack}:
             incl_c[f] += 1
 
     print("%d samples, %d under %s" % (len(samples), kept, ROOT.pattern))
     if kept == 0:
         sys.exit(1)
+    if not allocs:
+        leaf = sum(n for f, n in self_c.items() if ALLOCATOR.search(f))
+        print("allocator leaf (malloc/free/new/delete): %.2f%%" %
+              (100.0 * leaf / kept))
     print("%7s %7s  function" % ("self%", "incl%"))
     for f, n in self_c.most_common(TOP):
-        print("%7.2f %7.2f  %s" % (100.0 * n / kept, 100.0 * incl_c[f] / kept, f))
+        print("%7.2f %7.2f  %s" % (100.0 * n / kept,
+                                   100.0 * incl_c[f.split(" (")[0]] / kept, f))
     print("\nby inclusive share:")
     for f, n in incl_c.most_common(TOP):
         print("%7.2f %7.2f  %s" % (100.0 * self_c[f] / kept, 100.0 * n / kept, f))

@@ -7,6 +7,7 @@
 // erasure coding and recovery — this is that encoding.  Decoding is
 // defensive: short or garbled input yields Status, never UB.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -44,7 +45,16 @@ class Encoder {
     bytes_.push_back(static_cast<uint8_t>(v));
   }
 
+  void reserve(size_t n) { bytes_.reserve(n); }
   Buffer finish() const { return Buffer::copy_of(bytes_.data(), bytes_.size()); }
+  // The bytes zero-padded, or truncated, to exactly `n`.
+  Buffer finish_padded(size_t n) const {
+    Buffer b = Buffer::for_overwrite(n);
+    const size_t m = std::min(n, bytes_.size());
+    std::memcpy(b.mutable_data(), bytes_.data(), m);
+    std::memset(b.mutable_data() + m, 0, n - m);
+    return b;
+  }
   size_t size() const { return bytes_.size(); }
 
  private:

@@ -87,6 +87,7 @@ std::string ChunkMap::omap_key(uint64_t offset) {
 
 Buffer ChunkMap::encode_entry(const ChunkMapEntry& ent) {
   Encoder ee;
+  ee.reserve(kEntryEncodedBytes);
   ee.put_u64(ent.offset);
   ee.put_u32(ent.length);
   ee.put_u8(static_cast<uint8_t>((ent.cached ? 1 : 0) | (ent.dirty ? 2 : 0) |
@@ -97,12 +98,8 @@ Buffer ChunkMap::encode_entry(const ChunkMapEntry& ent) {
   // format (and the omap-bytes accounting the determinism digest folds in)
   // only changes for container members.
   ee.put_u64(ent.chunk_off);
-  Buffer body = ee.finish();
   // Fixed per-entry footprint (the paper's 150 bytes per chunk entry).
-  Buffer padded(kEntryEncodedBytes);
-  std::memcpy(padded.mutable_data(), body.data(),
-              std::min(body.size(), padded.size()));
-  return padded;
+  return ee.finish_padded(kEntryEncodedBytes);
 }
 
 Result<ChunkMapEntry> ChunkMap::decode_entry(const Buffer& b) {

@@ -269,9 +269,9 @@ const ChunkMap* DedupTier::cached_map_if_loaded(const std::string& oid) const {
 
 uint64_t DedupTier::logical_size(const std::string& oid) const {
   const ObjectStore* st = osd_->store_if_exists(pool_);
-  if (st == nullptr) return 0;
-  auto v = st->size({pool_, oid});
-  return v.is_ok() ? v.value() : 0;
+  const ObjectState* o =
+      st == nullptr ? nullptr : st->find_prehashed(PrehashedKey(pool_, oid));
+  return o == nullptr ? 0 : o->logical_size;
 }
 
 void DedupTier::mark_dirty(const std::string& oid) {
@@ -865,8 +865,7 @@ void DedupTier::handle_write(const OsdOp& op, ReplyFn reply) {
 }
 
 void DedupTier::post_process_write(const OsdOp& op, ReplyFn reply) {
-  const std::string oid = op.oid;
-  const ObjectKey key{pool_, oid};
+  const std::string& oid = op.oid;
   const uint64_t off = op.type == OsdOpType::kWriteFull ? 0 : op.off;
   const Buffer data = op.data;
   const uint64_t wlen = data.size();
@@ -910,10 +909,13 @@ void DedupTier::post_process_write(const OsdOp& op, ReplyFn reply) {
   // the in-flight reads).  arrive() runs from a continuation that owns a
   // strong ref, so the lock always succeeds when the gather completes.
   std::weak_ptr<Gather> gw = g;
-  auto proceed = [this, key, oid, off, data, wlen, full, new_size, new_end,
-                  cs, gw, prereads, reply = std::move(reply)](Status ps) mutable {
+  // The key is the continuation's one copy of the OID.
+  auto proceed = [this, key = ObjectKey{pool_, oid}, off, data, wlen, full,
+                  new_size, new_end, cs, gw, prereads,
+                  reply = std::move(reply)](Status ps) mutable {
     auto g = gw.lock();
     if (!g) return;
+    const std::string& oid = key.oid;
     if (!ps.is_ok()) {
       reply(OsdOpReply{ps, {}, 0, {}, nullptr});
       return;
@@ -1238,7 +1240,9 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
   // Read-amplification bookkeeping: distinct chunk-pool objects touched
   // and the pg distance between consecutive remote placements (the
   // seek-locality signal restore fragmentation destroys).
-  std::unordered_set<std::string> touched_chunks;
+  // A read touches a handful of chunks: a scan of borrowed ids (the map
+  // is not mutated in this loop) beats hashing 64-character copies.
+  std::vector<std::string_view> touched_chunks;
   int64_t prev_pg = -1;
   for (uint64_t c : chunker_.covering(off, len)) {
     const uint64_t b = std::max(off, c);
@@ -1247,7 +1251,9 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
     const bool remote = ent != nullptr && !ent->cached && ent->flushed();
     if (remote) {
       perf_->inc(l_tier_redirected_read_chunks);
-      if (touched_chunks.insert(ent->chunk_id).second) {
+      if (std::find(touched_chunks.begin(), touched_chunks.end(),
+                    ent->chunk_id) == touched_chunks.end()) {
+        touched_chunks.push_back(ent->chunk_id);
         perf_->inc(l_tier_read_chunk_objects);
       }
       const int64_t pg = static_cast<int64_t>(
@@ -1888,9 +1894,9 @@ void DedupTier::run_flush_pipeline(const std::string& oid,
             content,
             [this, oid, entry, content, trace, done = std::move(done)](
                 const Fingerprint& fp) mutable {
-              const std::string new_id = fp.hex();
+              std::string new_id = fp.hex();
 
-              const ChunkRef ref{pool_, oid, entry.offset};
+              ChunkRef ref{pool_, oid, entry.offset};
 
               if (entry.chunk_id == new_id) {
                 // Rewrite with identical content: if the reference is
@@ -1923,8 +1929,21 @@ void DedupTier::run_flush_pipeline(const std::string& oid,
                   return;
                 }
               }
-              auto done_sp =
-                  std::make_shared<std::function<void()>>(std::move(done));
+              // The put, the map update and the deref run once each, in
+              // that order, so they share one state and move, not copy,
+              // the OID, the entry (its 64-character chunk_id) and the
+              // new chunk's id.
+              struct Flush {
+                std::string oid;
+                ChunkMapEntry entry;
+                std::string new_id;
+                ChunkRef ref;
+                obs::OpTraceRef trace;
+                std::function<void()> done;
+              };
+              auto f = std::make_shared<Flush>(
+                  Flush{std::move(oid), std::move(entry), std::move(new_id),
+                        std::move(ref), std::move(trace), std::move(done)});
 
               // De-reference of the superseded chunk runs LAST, only after
               // the map durably names the replacement.  The reverse order
@@ -1939,88 +1958,89 @@ void DedupTier::run_flush_pipeline(const std::string& oid,
               // mapped and the old one holding a stale ref that GC's
               // dangling-ref sweep drops (the paper's false-positive
               // refcounting, Section 4.6).
-              auto deref_old = [this, oid, entry, new_id, ref, trace,
-                                done_sp]() mutable {
+              auto deref_old = [this, f]() {
                 // Probed whether or not an old chunk exists, so the
                 // consistency sweep covers first flushes too.
-                if (fail_at(FailurePoint::kBeforeDeref, oid)) {
-                  (*done_sp)();
+                if (fail_at(FailurePoint::kBeforeDeref, f->oid)) {
+                  f->done();
                   return;
                 }
                 // A re-put of the entry's own chunk (failed noop premise:
                 // the chunk had been reclaimed) supersedes nothing — a
                 // deref here would drop the reference just re-taken.
-                if (!entry.flushed() || entry.chunk_id == new_id) {
-                  if (fail_at(FailurePoint::kAfterDeref, oid)) {
-                    (*done_sp)();
+                if (!f->entry.flushed() || f->entry.chunk_id == f->new_id) {
+                  if (fail_at(FailurePoint::kAfterDeref, f->oid)) {
+                    f->done();
                     return;
                   }
-                  (*done_sp)();
+                  f->done();
                   return;
                 }
-                if (meta_batch(oid) != nullptr) {
+                if (meta_batch(f->oid) != nullptr) {
                   // Batched cycle: the deref must not reach the chunk pool
                   // before the buffered map apply does — queue it on the
                   // batch (deref-last survives the batching; a crash that
                   // drops the queue leaves a dangling ref for GC, the same
                   // contract as a lost async deref).
-                  queue_deferred_deref(oid, entry.chunk_id, ref);
-                  if (fail_at(FailurePoint::kAfterDeref, oid)) {
-                    (*done_sp)();
+                  queue_deferred_deref(f->oid, f->entry.chunk_id, f->ref);
+                  if (fail_at(FailurePoint::kAfterDeref, f->oid)) {
+                    f->done();
                     return;
                   }
-                  (*done_sp)();
+                  f->done();
                   return;
                 }
                 if (cfg().async_deref) {
                   // False-positive refcounting (Section 4.6): fire the
                   // de-reference without waiting; the GC mops up if it is
                   // lost.
-                  send_chunk_deref(entry.chunk_id, ref, /*foreground=*/false,
-                                   [](Status) {}, trace);
-                  if (fail_at(FailurePoint::kAfterDeref, oid)) {
-                    (*done_sp)();
+                  send_chunk_deref(f->entry.chunk_id, f->ref,
+                                   /*foreground=*/false, [](Status) {},
+                                   f->trace);
+                  if (fail_at(FailurePoint::kAfterDeref, f->oid)) {
+                    f->done();
                     return;
                   }
-                  (*done_sp)();
+                  f->done();
                 } else {
-                  send_chunk_deref(entry.chunk_id, ref, /*foreground=*/false,
-                                   [this, oid, done_sp](Status) mutable {
+                  send_chunk_deref(f->entry.chunk_id, f->ref,
+                                   /*foreground=*/false,
+                                   [this, f](Status) {
                                      if (fail_at(FailurePoint::kAfterDeref,
-                                                 oid)) {
-                                       (*done_sp)();
+                                                 f->oid)) {
+                                       f->done();
                                        return;
                                      }
-                                     (*done_sp)();
+                                     f->done();
                                    },
-                                   trace);
+                                   f->trace);
                 }
               };
 
-              auto after_put = [this, oid, entry, new_id, done_sp,
-                                deref_old = std::move(deref_old)](
+              auto after_put = [this, f, deref_old = std::move(deref_old)](
                                    Status s) mutable {
                 if (!s.is_ok()) {
-                  (*done_sp)();
+                  f->done();
                   return;
                 }
-                if (fail_at(FailurePoint::kAfterChunkPut, oid) ||
-                    fail_at(FailurePoint::kBeforeMapUpdate, oid)) {
+                if (fail_at(FailurePoint::kAfterChunkPut, f->oid) ||
+                    fail_at(FailurePoint::kBeforeMapUpdate, f->oid)) {
                   // Chunk persisted but the map update is lost: the object
                   // stays dirty and a redo finds the reference already
                   // present (idempotent put).
-                  (*done_sp)();
+                  f->done();
                   return;
                 }
-                finish_flush(oid, entry.offset, new_id, entry.dirty_gen,
-                             /*was_noop=*/false, std::move(deref_old));
+                finish_flush(f->oid, f->entry.offset, f->new_id,
+                             f->entry.dirty_gen, /*was_noop=*/false,
+                             std::move(deref_old));
               };
 
               perf_->inc(l_tier_chunks_flushed);
               perf_->inc(l_tier_flush_bytes, content.size());
-              send_chunk_put(new_id, std::move(content), ref,
+              send_chunk_put(f->new_id, std::move(content), f->ref,
                              /*foreground=*/false, std::move(after_put),
-                             trace);
+                             f->trace);
             },
             trace);
   }

@@ -43,8 +43,12 @@ struct TraceSpan {
 
 class OpTrace {
  public:
+  // Room for a client op's usual stages (tier, fingerprint, chunk
+  // put/deref or read), so span growth does not reallocate.
   OpTrace(uint64_t id, std::string desc, SimTime start)
-      : id_(id), desc_(std::move(desc)), start_(start) {}
+      : id_(id), desc_(std::move(desc)), start_(start) {
+    spans_.reserve(4);
+  }
 
   // Open a named stage; returns an index for span_end().  Spans may nest
   // or overlap freely (they are intervals, not a stack).

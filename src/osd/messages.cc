@@ -51,7 +51,7 @@ Buffer append_refs(const Buffer& stored, const std::vector<ChunkRef>& refs,
   const size_t head = stored.empty() ? sizeof(uint32_t) : stored.size();
   size_t len = head;
   for (size_t i = from; i < refs.size(); i++) len += 16 + refs[i].oid.size();
-  Buffer out(len);
+  Buffer out = Buffer::for_overwrite(len);
   uint8_t* p = out.mutable_data();
   if (!stored.empty()) std::memcpy(p, stored.data(), stored.size());
   size_t pos = head;

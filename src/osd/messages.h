@@ -12,6 +12,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/buffer.h"
@@ -82,7 +84,9 @@ struct OsdOp {
   // Additional back-references recorded with the same kChunkPutRef — a
   // rewrite container carries one ref per coalesced slot in a single put.
   std::vector<ChunkRef> extra_refs;
-  std::shared_ptr<Transaction> txn;        // kSubWrite
+  // kSubWrite: the coordinator's transaction, shared by every replica of
+  // the fanout and never mutated after it is built.
+  std::shared_ptr<const Transaction> txn;
   std::shared_ptr<ObjectState> state;      // kPush
   bool foreground = true;  // false for background dedup / recovery traffic
 
@@ -108,8 +112,16 @@ struct OsdOpReply {
   Status status;
   Buffer data;            // kRead / kShardRead / kGetXattr
   uint64_t size = 0;      // kStat; logical size for kShardRead
-  std::map<std::string, Buffer> attrs;  // kShardRead / kPull extras
+  // kShardRead: the EC xattrs, by name (a shard carries at most two).
+  std::vector<std::pair<std::string, Buffer>> attrs;
   std::shared_ptr<ObjectState> state;   // kPull
+
+  const Buffer* attr(std::string_view name) const {
+    for (const auto& [k, v] : attrs) {
+      if (k == name) return &v;
+    }
+    return nullptr;
+  }
 
   uint64_t wire_bytes() const;
 };

@@ -121,35 +121,52 @@ uint64_t ExtentMap::end_offset() const {
 
 // -------------------------------------------------------------- Transaction
 
+void Transaction::add(OpType type, const ObjectKey& k, uint64_t off,
+                      uint64_t len, Buffer data, std::string name) {
+  uint32_t key = 0;
+  if (ops_.empty()) {
+    // Room for the usual data op + xattrs without regrowth.
+    ops_.reserve(4);
+    key0_ = k;
+  } else if (!(k == key0_)) {
+    auto it = std::find(more_keys_.begin(), more_keys_.end(), k);
+    key = static_cast<uint32_t>(it - more_keys_.begin()) + 1;
+    if (it == more_keys_.end()) more_keys_.push_back(k);
+  }
+  ops_.push_back({type, key, off, len, std::move(data), std::move(name)});
+}
+
 void Transaction::create(const ObjectKey& k) {
-  ops_.push_back({OpType::kCreate, k, 0, 0, {}, {}});
+  add(OpType::kCreate, k, 0, 0, {}, {});
 }
 void Transaction::write(const ObjectKey& k, uint64_t off, Buffer data) {
-  ops_.push_back({OpType::kWrite, k, off, data.size(), std::move(data), {}});
+  const uint64_t len = data.size();
+  add(OpType::kWrite, k, off, len, std::move(data), {});
 }
 void Transaction::write_full(const ObjectKey& k, Buffer data) {
-  ops_.push_back({OpType::kWriteFull, k, 0, data.size(), std::move(data), {}});
+  const uint64_t len = data.size();
+  add(OpType::kWriteFull, k, 0, len, std::move(data), {});
 }
 void Transaction::truncate(const ObjectKey& k, uint64_t size) {
-  ops_.push_back({OpType::kTruncate, k, size, 0, {}, {}});
+  add(OpType::kTruncate, k, size, 0, {}, {});
 }
 void Transaction::punch_hole(const ObjectKey& k, uint64_t off, uint64_t len) {
-  ops_.push_back({OpType::kPunchHole, k, off, len, {}, {}});
+  add(OpType::kPunchHole, k, off, len, {}, {});
 }
 void Transaction::remove(const ObjectKey& k) {
-  ops_.push_back({OpType::kRemove, k, 0, 0, {}, {}});
+  add(OpType::kRemove, k, 0, 0, {}, {});
 }
 void Transaction::setxattr(const ObjectKey& k, std::string name, Buffer value) {
-  ops_.push_back({OpType::kSetXattr, k, 0, 0, std::move(value), std::move(name)});
+  add(OpType::kSetXattr, k, 0, 0, std::move(value), std::move(name));
 }
 void Transaction::rmxattr(const ObjectKey& k, std::string name) {
-  ops_.push_back({OpType::kRmXattr, k, 0, 0, {}, std::move(name)});
+  add(OpType::kRmXattr, k, 0, 0, {}, std::move(name));
 }
 void Transaction::omap_set(const ObjectKey& k, std::string key, Buffer value) {
-  ops_.push_back({OpType::kOmapSet, k, 0, 0, std::move(value), std::move(key)});
+  add(OpType::kOmapSet, k, 0, 0, std::move(value), std::move(key));
 }
 void Transaction::omap_rm(const ObjectKey& k, std::string key) {
-  ops_.push_back({OpType::kOmapRm, k, 0, 0, {}, std::move(key)});
+  add(OpType::kOmapRm, k, 0, 0, {}, std::move(key));
 }
 
 uint64_t Transaction::byte_size() const {
@@ -158,13 +175,9 @@ uint64_t Transaction::byte_size() const {
     n += 32;  // op header
     n += op.data.size();
     n += op.name.size();
-    n += op.key.oid.size();
+    n += key(op).oid.size();
   }
   return n;
-}
-
-void Transaction::append(const Transaction& other) {
-  ops_.insert(ops_.end(), other.ops_.begin(), other.ops_.end());
 }
 
 // -------------------------------------------------------------- ObjectStore
@@ -172,7 +185,7 @@ void Transaction::append(const Transaction& other) {
 Status ObjectStore::apply_to_state(const Transaction& txn, const ObjectKey& key,
                                    ObjectState* state, bool* exists) {
   for (const auto& op : txn.ops()) {
-    if (!(op.key == key)) continue;
+    if (!(txn.key(op) == key)) continue;
     switch (op.type) {
       case Transaction::OpType::kCreate:
         *exists = true;
@@ -231,34 +244,28 @@ static_assert(std::__cache_default<ObjectKey, ObjectKeyHash>::value,
 
 Status ObjectStore::apply(const Transaction& txn) {
   MaybeUniqueLock g(mu_);
-  // Per-object state as the transaction runs: liveness, and the stored
-  // object once found or created, so each object costs one index lookup
-  // per transaction.  A transaction touches one to three objects, so a
-  // linear scan of a flat list beats a map; the list is reused, so
-  // steady-state applies allocate nothing here.
+  // Per-object state as the transaction runs, indexed like the
+  // transaction's objects: liveness, and the stored object once found or
+  // created, so each object costs one index lookup per transaction.  The
+  // list is reused, so steady-state applies allocate nothing here.
   struct Touched {
-    const ObjectKey* key;
-    bool exists;
-    ObjectState* st;  // null while absent (or removed by an earlier op)
+    bool seen = false;
+    bool exists = false;
+    ObjectState* st = nullptr;  // null while absent (or removed earlier)
   };
   thread_local std::vector<Touched> touched;
-  touched.clear();
-  auto slot = [](const ObjectKey& k) -> Touched* {
-    for (Touched& t : touched) {
-      if (*t.key == k) return &t;
-    }
-    return nullptr;
-  };
+  touched.assign(txn.key_count(), Touched{});
 
   // Validation pass: the only failable ops reference missing objects.
   // Track objects the transaction itself creates so create-then-write in
   // one transaction validates.
   for (const auto& op : txn.ops()) {
-    Touched* t = slot(op.key);
-    if (t == nullptr) {
-      auto it = objects_.find(op.key);
+    const ObjectKey& key = txn.key(op);
+    Touched* t = &touched[op.key];
+    if (!t->seen) {
+      auto it = objects_.find(key);
       ObjectState* st = it == objects_.end() ? nullptr : &it->second;
-      t = &touched.emplace_back(Touched{&op.key, st != nullptr, st});
+      *t = Touched{true, st != nullptr, st};
     }
     switch (op.type) {
       case Transaction::OpType::kCreate:
@@ -273,7 +280,7 @@ Status ObjectStore::apply(const Transaction& txn) {
       case Transaction::OpType::kRmXattr:
       case Transaction::OpType::kOmapRm:
         if (!t->exists) {
-          return Status::not_found("txn references missing " + op.key.oid +
+          return Status::not_found("txn references missing " + key.oid +
                                    " (op " +
                                    std::to_string(static_cast<int>(op.type)) +
                                    ")");
@@ -281,7 +288,7 @@ Status ObjectStore::apply(const Transaction& txn) {
         break;
       case Transaction::OpType::kRemove:
         if (!t->exists) {
-          return Status::not_found("txn removes missing " + op.key.oid);
+          return Status::not_found("txn removes missing " + key.oid);
         }
         t->exists = false;
         break;
@@ -291,13 +298,13 @@ Status ObjectStore::apply(const Transaction& txn) {
   // Mutation pass (cannot fail).  Validation already simulated it, so
   // each entry's `exists` holds the object's final liveness.
   for (const auto& op : txn.ops()) {
-    Touched& t = *slot(op.key);
+    Touched& t = touched[op.key];
     if (op.type == Transaction::OpType::kRemove) {
-      objects_.erase(op.key);
+      objects_.erase(txn.key(op));
       t.st = nullptr;
       continue;
     }
-    if (t.st == nullptr) t.st = &objects_[op.key];
+    if (t.st == nullptr) t.st = &objects_[txn.key(op)];
     ObjectState& st = *t.st;
     switch (op.type) {
       case Transaction::OpType::kCreate:

@@ -149,7 +149,7 @@ class Transaction {
 
   struct Op {
     OpType type;
-    ObjectKey key;
+    uint32_t key;  // index into the transaction's objects: see key()
     uint64_t off = 0;
     uint64_t len = 0;
     Buffer data;
@@ -169,14 +169,24 @@ class Transaction {
 
   bool empty() const { return ops_.empty(); }
   const std::vector<Op>& ops() const { return ops_; }
+  // The object `op` touches.  Each distinct object is stored once per
+  // transaction, however many ops name it.
+  const ObjectKey& key(const Op& op) const {
+    return op.key == 0 ? key0_ : more_keys_[op.key - 1];
+  }
+  size_t key_count() const { return ops_.empty() ? 0 : 1 + more_keys_.size(); }
 
   // Payload bytes — what the journal write and the wire transfer cost.
   uint64_t byte_size() const;
 
-  void append(const Transaction& other);
-
  private:
+  void add(OpType type, const ObjectKey& k, uint64_t off, uint64_t len,
+           Buffer data, std::string name);
+
   std::vector<Op> ops_;
+  // Most transactions touch one object: it is stored inline.
+  ObjectKey key0_;
+  std::vector<ObjectKey> more_keys_;
 };
 
 class ObjectStore {

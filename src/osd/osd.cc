@@ -16,11 +16,9 @@ namespace {
 constexpr const char* kEcShardXattr = "ec.shard";
 constexpr const char* kEcOrigLenXattr = "ec.orig_len";
 
-Buffer encode_u64(uint64_t v) {
-  Encoder e;
-  e.put_u64(v);
-  return e.finish();
-}
+// Encoder's fixed-width layout, written straight into one allocation.
+Buffer encode_u32(uint32_t v) { return Buffer::copy_of(&v, sizeof v); }
+Buffer encode_u64(uint64_t v) { return Buffer::copy_of(&v, sizeof v); }
 
 Result<uint64_t> decode_u64(const Buffer& b) {
   Decoder d(b);
@@ -106,8 +104,9 @@ void Osd::refresh_stats_view() const {
   stats_view_.refs_cache_hits = perf_->get(l_osd_refs_cache_hits);
 }
 
-bool Osd::fail_at(OsdFailurePoint p, const ObjectKey& key) {
-  if (!failure_hook_ || !failure_hook_(p, key)) return false;
+bool Osd::fail_at(OsdFailurePoint p, PoolId pool, const std::string& oid) {
+  // Only fault campaigns arm a hook; build its key only then.
+  if (!failure_hook_ || !failure_hook_(p, ObjectKey{pool, oid})) return false;
   injected_crashes_++;
   // Self-crash with kill -9 semantics.  Cluster-level cleanup (stopping
   // tier services, scheduling the restart) belongs to whoever armed the
@@ -120,15 +119,13 @@ bool Osd::fail_at(OsdFailurePoint p, const ObjectKey& key) {
 }
 
 void Osd::reset_volatile() {
-  // The call may originate *inside* a queued closure (fail_at at the top of
-  // chunk_put_ref_locked runs from chunk_op_queue_'s front element), so the
-  // closures cannot be destroyed here — that would free the frame we are
-  // executing.  Swap them into a graveyard that a zero-delay event buries
-  // after the stack unwinds; the live queues are empty immediately.
-  auto graveyard = std::make_shared<std::pair<OpQueue, OpQueue>>();
-  graveyard->first.swap(chunk_op_queue_);
-  graveyard->second.swap(ec_write_queue_);
-  if (!graveyard->first.empty() || !graveyard->second.empty()) {
+  // The live queues are empty immediately.  The parked ops are buried by
+  // a zero-delay event after the stack unwinds, scheduled whenever any
+  // object was busy.
+  auto graveyard = std::make_shared<std::vector<std::function<void()>>>();
+  const bool chunk_busy = chunk_op_queue_.reset(graveyard.get());
+  const bool ec_busy = ec_write_queue_.reset(graveyard.get());
+  if (chunk_busy || ec_busy) {
     ctx_->sched().after(0, [graveyard] {});
   }
 }
@@ -371,41 +368,58 @@ void Osd::handle_setxattr(const OsdOp& op, ReplyFn reply) {
                op.foreground);
 }
 
+template <typename Done>
+void Osd::local_apply(PoolId pool, std::shared_ptr<const Transaction> txn,
+                      Done done) {
+  const uint64_t bytes = txn->byte_size();
+  // Zero-copy accounting: the store keeps payload Buffers by value, so
+  // every payload byte (client message, tier cache, peer shard) lands as
+  // a refcount bump on storage the transaction shares, not a byte copy.
+  uint64_t shared_bytes = 0;
+  for (const auto& op : txn->ops()) shared_bytes += op.data.size();
+  if (shared_bytes > 0) perf_->inc(l_osd_bytes_zero_copied, shared_bytes);
+  disk_.write(bytes, [this, pool, txn = std::move(txn),
+                      done = std::move(done)]() mutable {
+    done(store(pool).apply(*txn));
+  });
+}
+
 void Osd::handle_sub_write(const OsdOp& op, ReplyFn reply) {
-  if (fail_at(OsdFailurePoint::kBeforeSubWriteApply, {op.pool, op.oid})) {
+  if (fail_at(OsdFailurePoint::kBeforeSubWriteApply, op.pool, op.oid)) {
     return;  // crashed: the primary never hears back
   }
   perf_->inc(l_osd_sub_writes);
   assert(op.txn);
-  local_apply(op.pool, *op.txn, [reply = std::move(reply)](Status s) {
+  local_apply(op.pool, op.txn, [reply = std::move(reply)](Status s) {
     reply(OsdOpReply{s, {}, 0, {}, nullptr});
   });
 }
 
 void Osd::handle_shard_read(const OsdOp& op, ReplyFn reply) {
-  const ObjectKey key{op.pool, op.oid};
-  ObjectStore& st = store(op.pool);
-  auto sz = st.size(key);
-  if (!sz.is_ok()) {
-    reply(OsdOpReply{sz.status(), {}, 0, {}, nullptr});
+  // One index probe, no key copy.  The shard's state is read in place,
+  // as local_exists reads it.
+  const ObjectState* st =
+      store(op.pool).find_prehashed(PrehashedKey(op.pool, op.oid));
+  if (st == nullptr) {
+    reply(OsdOpReply{Status::not_found(op.oid), {}, 0, {}, nullptr});
     return;
   }
-  auto data = st.read(key, 0, 0);
-  assert(data.is_ok());
   OsdOpReply rep;
-  rep.data = std::move(data).value();
-  rep.size = sz.value();
-  for (const char* name : {kEcShardXattr, kEcOrigLenXattr}) {
-    auto a = st.getxattr(key, name);
-    if (a.is_ok()) rep.attrs[name] = std::move(a).value();
+  if (st->logical_size > 0) rep.data = st->data.read(0, st->logical_size);
+  rep.size = st->logical_size;
+  rep.attrs.reserve(2);
+  for (const char* name : {kEcOrigLenXattr, kEcShardXattr}) {
+    auto it = st->xattrs.find(name);
+    if (it != st->xattrs.end()) rep.attrs.emplace_back(name, it->second);
   }
-  disk_.read(rep.data.size(), [reply = std::move(reply), rep]() mutable {
+  const uint64_t bytes = rep.data.size();
+  disk_.read(bytes, [reply = std::move(reply), rep = std::move(rep)]() mutable {
     reply(std::move(rep));
   });
 }
 
 void Osd::handle_pull(const OsdOp& op, ReplyFn reply) {
-  if (fail_at(OsdFailurePoint::kBeforeRecoveryPull, {op.pool, op.oid})) {
+  if (fail_at(OsdFailurePoint::kBeforeRecoveryPull, op.pool, op.oid)) {
     return;  // crashed: recovery must route around this holder
   }
   perf_->inc(l_osd_pulls);
@@ -444,38 +458,83 @@ void Osd::handle_push(const OsdOp& op, ReplyFn reply) {
 // ----------------------------------------------------------- chunk verbs
 
 void Osd::handle_chunk_put_ref(const OsdOp& op, ReplyFn reply) {
-  const ObjectKey key{op.pool, op.oid};
-  enqueue_chunk_op(key, [this, op, reply = std::move(reply)]() mutable {
-    chunk_put_ref_locked(op, std::move(reply));
-  });
+  run_chunk_op(op, std::move(reply), &Osd::chunk_put_ref_locked);
 }
 
 void Osd::handle_chunk_deref(const OsdOp& op, ReplyFn reply) {
-  const ObjectKey key{op.pool, op.oid};
-  enqueue_chunk_op(key, [this, op, reply = std::move(reply)]() mutable {
-    chunk_deref_locked(op, std::move(reply));
-  });
+  run_chunk_op(op, std::move(reply), &Osd::chunk_deref_locked);
 }
 
-void Osd::enqueue_object_op(OpQueue& q, const ObjectKey& key,
-                            std::function<void()> fn) {
-  auto& dq = q[key];
-  dq.push_back(std::move(fn));
-  if (dq.size() == 1) dq.front()();
+void Osd::run_chunk_op(const OsdOp& op, ReplyFn reply,
+                       void (Osd::*locked)(const OsdOp&, ReplyFn)) {
+  const PrehashedKey key(op.pool, op.oid);
+  if (chunk_op_queue_.try_acquire(key)) {
+    (this->*locked)(op, std::move(reply));
+    return;
+  }
+  // Parked: the op outlives this frame, so it is copied.
+  chunk_op_queue_.park(
+      key, [this, op, reply = std::move(reply), locked]() mutable {
+        (this->*locked)(op, std::move(reply));
+      });
+}
+
+Osd::OpQueue::Slot* Osd::OpQueue::find(const PrehashedKey& key) {
+  for (Slot& s : slots_) {
+    if (s.busy && s.hash == key.hash && s.pool == key.pool && s.oid == key.oid) {
+      return &s;
+    }
+  }
+  return nullptr;
+}
+
+bool Osd::OpQueue::try_acquire(const PrehashedKey& key) {
+  if (find(key) != nullptr) return false;
+  auto it = std::find_if(slots_.begin(), slots_.end(),
+                         [](const Slot& s) { return !s.busy; });
+  Slot& s = it == slots_.end() ? slots_.emplace_back() : *it;
+  s.busy = true;
+  s.hash = key.hash;
+  s.pool = key.pool;
+  s.oid.assign(key.oid);
+  return true;
+}
+
+void Osd::OpQueue::park(const PrehashedKey& key, std::function<void()> fn) {
+  Slot* s = find(key);
+  assert(s != nullptr);
+  s->parked.push_back(std::move(fn));
+}
+
+std::function<void()> Osd::OpQueue::release(const PrehashedKey& key) {
+  Slot* s = find(key);
+  if (s == nullptr) return {};
+  if (s->parked.empty()) {
+    s->busy = false;
+    return {};
+  }
+  std::function<void()> next = std::move(s->parked.front());
+  s->parked.erase(s->parked.begin());
+  return next;
+}
+
+bool Osd::OpQueue::reset(std::vector<std::function<void()>>* out) {
+  bool any = false;
+  for (Slot& s : slots_) {
+    any = any || s.busy;
+    s.busy = false;
+    for (auto& fn : s.parked) out->push_back(std::move(fn));
+    s.parked.clear();
+  }
+  return any;
 }
 
 void Osd::finish_object_op(OpQueue& q, const ObjectKey& key) {
-  auto it = q.find(key);
   // A crash resets the queues; an op that was in flight when it happened
-  // may still complete afterwards and must find its entry simply gone.
-  if (it == q.end() || it->second.empty()) return;
-  it->second.pop_front();
-  if (it->second.empty()) {
-    q.erase(it);
-  } else {
+  // may still complete afterwards and must find its key simply idle.
+  if (auto next = q.release(PrehashedKey(key))) {
     // Defer to a fresh event so the stack unwinds.
-    auto next = it->second.front();
-    ctx_->sched().after(0, next);
+    ctx_->sched().after(0, std::move(next));
   }
 }
 
@@ -511,7 +570,7 @@ Buffer Osd::store_refs(const ObjectKey& key, RefsView* v, size_t from) {
 }
 
 void Osd::chunk_put_ref_locked(const OsdOp& op, ReplyFn reply) {
-  if (fail_at(OsdFailurePoint::kBeforeChunkRefWrite, {op.pool, op.oid})) {
+  if (fail_at(OsdFailurePoint::kBeforeChunkRefWrite, op.pool, op.oid)) {
     return;  // crashed mid-refcount-update; queue already reset
   }
   perf_->inc(l_osd_chunk_puts);
@@ -542,7 +601,7 @@ void Osd::chunk_put_ref_locked(const OsdOp& op, ReplyFn reply) {
       perf_->inc(l_osd_crc_verify_failures);
     }
     reply(OsdOpReply{s, {}, 0, {}, nullptr});
-    finish_chunk_op(key);
+    finish_object_op(chunk_op_queue_, key);
   };
 
   if (local_exists(op.pool, op.oid)) {
@@ -651,7 +710,7 @@ void Osd::chunk_deref_locked(const OsdOp& op, ReplyFn reply) {
   const ObjectKey key{op.pool, op.oid};
   auto finish = [this, key, reply = std::move(reply)](Status s) mutable {
     reply(OsdOpReply{s, {}, 0, {}, nullptr});
-    finish_chunk_op(key);
+    finish_object_op(chunk_op_queue_, key);
   };
 
   if (!local_exists(op.pool, op.oid)) {
@@ -736,32 +795,15 @@ void Osd::submit_remove(PoolId pool, const std::string& oid,
   submit_write(pool, oid, std::move(txn), std::move(done), foreground);
 }
 
-void Osd::local_apply(PoolId pool, Transaction txn,
-                      std::function<void(Status)> done) {
-  const uint64_t bytes = txn.byte_size();
-  // Zero-copy accounting: payload Buffers still sharing their source
-  // storage (client message, tier cache, peer shard) land in the store as
-  // refcount bumps, not byte copies.
-  uint64_t shared_bytes = 0;
-  for (const auto& op : txn.ops()) {
-    if (!op.data.empty() && op.data.storage_shared()) {
-      shared_bytes += op.data.size();
-    }
-  }
-  if (shared_bytes > 0) perf_->inc(l_osd_bytes_zero_copied, shared_bytes);
-  disk_.write(bytes, [this, pool, txn = std::move(txn),
-                      done = std::move(done)]() mutable {
-    done(store(pool).apply(txn));
-  });
-}
-
 void Osd::replicated_write(PoolId pool, const std::string& oid,
                            Transaction txn, std::function<void(Status)> done,
                            bool foreground) {
-  if (fail_at(OsdFailurePoint::kBeforeReplicatedFanout, {pool, oid})) {
+  if (fail_at(OsdFailurePoint::kBeforeReplicatedFanout, pool, oid)) {
     return;  // crashed: no replica ever sees this write
   }
-  auto acting = ctx_->osdmap().acting(pool, oid);
+  // By reference: nothing in the loop below changes liveness (local
+  // apply and sends only schedule events).
+  const std::vector<OsdId>& acting = ctx_->osdmap().acting(pool, oid);
   if (acting.empty()) {
     ctx_->sched().after(0, [done = std::move(done)] {
       done(Status::unavailable("no acting set"));
@@ -773,11 +815,13 @@ void Osd::replicated_write(PoolId pool, const std::string& oid,
   barrier->remaining = static_cast<int>(acting.size());
   barrier->done = std::move(done);
 
-  auto shared_txn = std::make_shared<Transaction>(std::move(txn));
+  // One immutable transaction for the whole fanout: the local apply and
+  // every replica's sub-write share it.
+  auto shared_txn = std::make_shared<const Transaction>(std::move(txn));
   for (OsdId target : acting) {
     if (target == id_) {
-      local_apply(pool, *shared_txn, [this, pool, oid, barrier](Status s) {
-        if (fail_at(OsdFailurePoint::kAfterLocalApply, {pool, oid})) {
+      local_apply(pool, shared_txn, [this, pool, oid, barrier](Status s) {
+        if (fail_at(OsdFailurePoint::kAfterLocalApply, pool, oid)) {
           return;  // crashed between the local commit and the peer acks
         }
         barrier->arrive(s);
@@ -800,24 +844,31 @@ void Osd::ec_write(PoolId pool, const std::string& oid, Transaction txn,
   // Serialize per object: a partial EC write reads, re-encodes and
   // rewrites the whole object — concurrent RMWs would lose updates and
   // each holds a full object image while in flight.
-  const ObjectKey key{pool, oid};
-  enqueue_object_op(
-      ec_write_queue_, key,
-      [this, pool, oid, key, txn = std::move(txn), done = std::move(done),
-       foreground]() mutable {
-        ec_write_locked(pool, oid, std::move(txn),
-                        [this, key, done = std::move(done)](Status s) {
-                          done(s);
-                          finish_object_op(ec_write_queue_, key);
-                        },
-                        foreground);
-      });
+  auto unlocking = [this, key = ObjectKey{pool, oid},
+                    done = std::move(done)](Status s) {
+    done(s);
+    finish_object_op(ec_write_queue_, key);
+  };
+  const PrehashedKey pk(pool, oid);
+  if (ec_write_queue_.try_acquire(pk)) {
+    ec_write_locked(pool, oid, std::move(txn), std::move(unlocking),
+                    foreground);
+    return;
+  }
+  ec_write_queue_.park(pk, [this, pool, oid, txn = std::move(txn),
+                            unlocking = std::move(unlocking),
+                            foreground]() mutable {
+    ec_write_locked(pool, oid, std::move(txn), std::move(unlocking),
+                    foreground);
+  });
 }
 
 void Osd::ec_write_locked(PoolId pool, const std::string& oid, Transaction txn,
                           std::function<void(Status)> done, bool foreground) {
   const PoolConfig& cfg = ctx_->osdmap().pool(pool);
-  auto acting = ctx_->osdmap().acting(pool, oid);
+  // A copy: a data write broadcasts to the members it was admitted with,
+  // after the encode cost has elapsed.
+  std::vector<OsdId> acting = ctx_->osdmap().acting(pool, oid);
   if (static_cast<int>(acting.size()) < cfg.ec_k + cfg.ec_m) {
     ctx_->sched().after(0, [done = std::move(done)] {
       done(Status::unavailable("not enough shards up"));
@@ -849,96 +900,21 @@ void Osd::ec_write_locked(PoolId pool, const std::string& oid, Transaction txn,
     }
   }
 
-  auto broadcast = [this, acting, pool, oid, foreground](
-                       std::vector<Transaction> shard_txns,
-                       std::function<void(Status)> cb) {
-    auto barrier = std::make_shared<Barrier>();
-    barrier->remaining = static_cast<int>(acting.size());
-    barrier->done = std::move(cb);
-    for (size_t i = 0; i < acting.size(); i++) {
-      auto st = std::make_shared<Transaction>(std::move(shard_txns[i]));
-      if (acting[i] == id_) {
-        local_apply(pool, *st, [barrier](Status s) { barrier->arrive(s); });
-      } else {
-        OsdOp sub;
-        sub.type = OsdOpType::kSubWrite;
-        sub.pool = pool;
-        sub.oid = oid;
-        sub.txn = st;
-        sub.foreground = foreground;
-        send_osd_op(*ctx_, node_, acting[i], std::move(sub),
-                    [barrier](OsdOpReply rep) { barrier->arrive(rep.status); });
-      }
+  if (removes || !has_data_op) {
+    // Remove, or a metadata-only update: every shard applies the same
+    // ops (no re-encode), so they all share one transaction.
+    auto same = std::make_shared<Transaction>();
+    if (removes) {
+      same->remove(key);
+    } else {
+      *same = std::move(txn);
     }
-  };
-
-  if (removes) {
-    std::vector<Transaction> shard_txns(acting.size());
-    for (auto& st : shard_txns) st.remove(key);
-    broadcast(std::move(shard_txns), std::move(done));
-    return;
-  }
-
-  if (!has_data_op) {
-    // Metadata-only update: mirror the ops to every shard, no re-encode.
-    std::vector<Transaction> shard_txns(acting.size());
-    for (auto& st : shard_txns) st = txn;
-    broadcast(std::move(shard_txns), std::move(done));
+    ec_broadcast(pool, oid, acting, {std::move(same)}, std::move(done),
+                 foreground);
     return;
   }
 
   // Data write: produce the new full object image, encode, distribute.
-  auto done_sp =
-      std::make_shared<std::function<void(Status)>>(std::move(done));
-  auto encode_and_send = [this, cfg, key, acting, txn, broadcast,
-                          done_sp](ObjectState base, bool existed) mutable {
-    auto done = [done_sp](Status s) { (*done_sp)(s); };
-    bool exists = existed;
-    if (auto s = ObjectStore::apply_to_state(txn, key, &base, &exists);
-        !s.is_ok()) {
-      done(s);
-      return;
-    }
-    if (!exists) {
-      done(Status::invalid("ec txn removed object mid-write"));
-      return;
-    }
-    Buffer full = base.data.read(0, base.logical_size);
-    const uint64_t parity_cost_bytes = full.size();
-    // Parity math runs on the exec pool while the virtual cost elapses;
-    // the shards are joined exactly when the cost model says the encode
-    // completes (inline there in serial mode).
-    auto shards_fut = kernel_async<std::vector<Buffer>>(
-        ctx_->exec_pool(), Kernel::kEcEncode,
-        [ec_k = cfg.ec_k, ec_m = cfg.ec_m, full = std::move(full)] {
-          ReedSolomon rs(ec_k, ec_m);
-          return rs.encode(full);
-        });
-    cpu().execute(
-        cpu().ec_parity_cost(parity_cost_bytes),
-        [this, cfg, key, acting, base = std::move(base),
-         shards_fut = std::move(shards_fut), broadcast = std::move(broadcast),
-         done = std::move(done)]() mutable {
-          auto shards = shards_fut.take();
-          std::vector<Transaction> shard_txns(acting.size());
-          for (size_t i = 0; i < acting.size(); i++) {
-            Transaction& st = shard_txns[i];
-            st.write_full(key, shards[i]);
-            Encoder se;
-            se.put_u32(static_cast<uint32_t>(i));
-            st.setxattr(key, kEcShardXattr, se.finish());
-            st.setxattr(key, kEcOrigLenXattr, encode_u64(base.logical_size));
-            for (const auto& [name, value] : base.xattrs) {
-              st.setxattr(key, name, value);
-            }
-            for (const auto& [k2, v2] : base.omap) {
-              st.omap_set(key, k2, v2);
-            }
-          }
-          broadcast(std::move(shard_txns), std::move(done));
-        });
-  };
-
   const bool exists_locally = local_exists(pool, oid);
   if (full_rewrite_only || !exists_locally) {
     // No read-modify-write needed (fresh object or whole-object rewrite).
@@ -954,33 +930,112 @@ void Osd::ec_write_locked(PoolId pool, const std::string& oid, Transaction txn,
       base.xattrs.erase(kEcOrigLenXattr);
       existed = true;
     }
-    encode_and_send(std::move(base), existed);
+    ec_encode_and_send(key, std::move(acting), txn, std::move(base), existed,
+                       std::move(done), foreground);
     return;
   }
 
   // Partial write to an existing EC object: gather, rebuild, re-encode.
   ec_read(pool, oid, 0, 0,
-          [this, pool, key, done_sp,
-           encode_and_send = std::move(encode_and_send)](
-              Result<Buffer> r) mutable {
+          [this, key, acting = std::move(acting), txn = std::move(txn),
+           done = std::move(done), foreground](Result<Buffer> r) mutable {
             if (!r.is_ok()) {
               // Cannot reconstruct the old image; surface the error.
-              (*done_sp)(r.status());
+              done(r.status());
               return;
             }
             ObjectState base;
             base.data.write(0, r.value());
             base.logical_size = r.value().size();
-            auto snap = store(pool).snapshot(key);
+            auto snap = store(key.pool).snapshot(key);
             if (snap.is_ok()) {
               base.xattrs = snap.value().xattrs;
               base.omap = snap.value().omap;
               base.xattrs.erase(kEcShardXattr);
               base.xattrs.erase(kEcOrigLenXattr);
             }
-            encode_and_send(std::move(base), true);
+            ec_encode_and_send(key, std::move(acting), txn, std::move(base),
+                               true, std::move(done), foreground);
           },
           foreground);
+}
+
+void Osd::ec_encode_and_send(const ObjectKey& key, std::vector<OsdId> acting,
+                             const Transaction& txn, ObjectState base,
+                             bool existed, std::function<void(Status)> done,
+                             bool foreground) {
+  bool exists = existed;
+  if (auto s = ObjectStore::apply_to_state(txn, key, &base, &exists);
+      !s.is_ok()) {
+    done(s);
+    return;
+  }
+  if (!exists) {
+    done(Status::invalid("ec txn removed object mid-write"));
+    return;
+  }
+  const PoolConfig& cfg = ctx_->osdmap().pool(key.pool);
+  Buffer full = base.data.read(0, base.logical_size);
+  const uint64_t parity_cost_bytes = full.size();
+  // Parity math runs on the exec pool while the virtual cost elapses;
+  // the shards are joined exactly when the cost model says the encode
+  // completes (inline there in serial mode).
+  auto shards_fut = kernel_async<std::vector<Buffer>>(
+      ctx_->exec_pool(), Kernel::kEcEncode,
+      [ec_k = cfg.ec_k, ec_m = cfg.ec_m, full = std::move(full)] {
+        ReedSolomon rs(ec_k, ec_m);
+        return rs.encode(full);
+      });
+  cpu().execute(
+      cpu().ec_parity_cost(parity_cost_bytes),
+      [this, key, acting = std::move(acting), base = std::move(base),
+       shards_fut = std::move(shards_fut), done = std::move(done),
+       foreground]() mutable {
+        auto shards = shards_fut.take();
+        const Buffer orig_len = encode_u64(base.logical_size);
+        std::vector<std::shared_ptr<const Transaction>> shard_txns;
+        shard_txns.reserve(acting.size());
+        for (size_t i = 0; i < acting.size(); i++) {
+          auto st = std::make_shared<Transaction>();
+          st->write_full(key, shards[i]);
+          st->setxattr(key, kEcShardXattr,
+                       encode_u32(static_cast<uint32_t>(i)));
+          st->setxattr(key, kEcOrigLenXattr, orig_len);
+          for (const auto& [name, value] : base.xattrs) {
+            st->setxattr(key, name, value);
+          }
+          for (const auto& [k2, v2] : base.omap) {
+            st->omap_set(key, k2, v2);
+          }
+          shard_txns.push_back(std::move(st));
+        }
+        ec_broadcast(key.pool, key.oid, acting, std::move(shard_txns),
+                     std::move(done), foreground);
+      });
+}
+
+void Osd::ec_broadcast(PoolId pool, const std::string& oid,
+                       const std::vector<OsdId>& acting,
+                       std::vector<std::shared_ptr<const Transaction>> txns,
+                       std::function<void(Status)> done, bool foreground) {
+  auto barrier = std::make_shared<Barrier>();
+  barrier->remaining = static_cast<int>(acting.size());
+  barrier->done = std::move(done);
+  for (size_t i = 0; i < acting.size(); i++) {
+    const auto& txn = txns[txns.size() == 1 ? 0 : i];
+    if (acting[i] == id_) {
+      local_apply(pool, txn, [barrier](Status s) { barrier->arrive(s); });
+    } else {
+      OsdOp sub;
+      sub.type = OsdOpType::kSubWrite;
+      sub.pool = pool;
+      sub.oid = oid;
+      sub.txn = txn;
+      sub.foreground = foreground;
+      send_osd_op(*ctx_, node_, acting[i], std::move(sub),
+                  [barrier](OsdOpReply rep) { barrier->arrive(rep.status); });
+    }
+  }
 }
 
 void Osd::ec_read(PoolId pool, const std::string& oid, uint64_t off,
@@ -1068,17 +1123,15 @@ void Osd::ec_read(PoolId pool, const std::string& oid, uint64_t off,
     auto on_reply = [gs, finish, k, m](OsdOpReply rep) {
       if (rep.status.is_ok()) {
         int shard_idx = -1;
-        auto it = rep.attrs.find(kEcShardXattr);
-        if (it != rep.attrs.end()) {
-          Decoder d(it->second);
+        if (const Buffer* idx = rep.attr(kEcShardXattr)) {
+          Decoder d(*idx);
           uint32_t v = 0;
           if (d.get_u32(&v).is_ok() && v < static_cast<uint32_t>(k + m)) {
             shard_idx = static_cast<int>(v);
           }
         }
-        auto ol = rep.attrs.find(kEcOrigLenXattr);
-        if (ol != rep.attrs.end()) {
-          if (auto v = decode_u64(ol->second); v.is_ok()) {
+        if (const Buffer* ol = rep.attr(kEcOrigLenXattr)) {
+          if (auto v = decode_u64(*ol); v.is_ok()) {
             gs->orig_len = v.value();
             gs->have_orig_len = true;
           }
@@ -1134,11 +1187,14 @@ void send_osd_op(ClusterContext& ctx, NodeId from_node, OsdId target, OsdOp op,
   ctx.net().send(
       from_node, tnode, req_bytes,
       [pctx, osd, from_node, tnode, op = std::move(op), cb = std::move(cb)]() mutable {
+        // Each reply is sent once, so the callback moves into its
+        // delivery closure rather than being copied.
         osd->handle_op(std::move(op), [pctx, from_node, tnode,
-                                       cb = std::move(cb)](OsdOpReply rep) {
+                                       cb = std::move(cb)](
+                                          OsdOpReply rep) mutable {
           const uint64_t rep_bytes = rep.wire_bytes();
           pctx->net().send(tnode, from_node, rep_bytes,
-                           [cb, rep = std::move(rep)]() mutable {
+                           [cb = std::move(cb), rep = std::move(rep)]() mutable {
                              cb(std::move(rep));
                            });
         });

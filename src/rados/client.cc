@@ -51,9 +51,13 @@ void RadosClient::submit(OsdOp op, ReplyFn cb) {
   }
   obs::OpTracker* trk = ctx_->op_tracker();
   if (trk != nullptr) {
-    op.trace = trk->start(std::string(osd_op_type_name(op.type)) + " " +
-                              std::to_string(op.pool) + "/" + op.oid,
-                          t0);
+    // "<type> <pool>/<oid>", built in one allocation.
+    const std::string_view type = osd_op_type_name(op.type);
+    const std::string pool = std::to_string(op.pool);
+    std::string desc;
+    desc.reserve(type.size() + pool.size() + op.oid.size() + 2);
+    desc.append(type).append(" ").append(pool).append("/").append(op.oid);
+    op.trace = trk->start(std::move(desc), t0);
   }
   // The wrapper captures everything it needs by value / stable pointer
   // (scheduler, tracker and counters all outlive in-flight ops) — never
@@ -81,12 +85,12 @@ void RadosClient::submit(OsdOp op, ReplyFn cb) {
   send_osd_op(*ctx_, node_, primary, std::move(op), std::move(cb));
 }
 
-void RadosClient::write(PoolId pool, const std::string& oid, uint64_t off,
+void RadosClient::write(PoolId pool, std::string oid, uint64_t off,
                         Buffer data, std::function<void(Status)> cb) {
   OsdOp op;
   op.type = OsdOpType::kWrite;
   op.pool = pool;
-  op.oid = oid;
+  op.oid = std::move(oid);
   op.off = off;
   op.len = data.size();
   op.data = std::move(data);
@@ -94,24 +98,24 @@ void RadosClient::write(PoolId pool, const std::string& oid, uint64_t off,
          [cb = std::move(cb)](OsdOpReply rep) { cb(rep.status); });
 }
 
-void RadosClient::write_full(PoolId pool, const std::string& oid, Buffer data,
+void RadosClient::write_full(PoolId pool, std::string oid, Buffer data,
                              std::function<void(Status)> cb) {
   OsdOp op;
   op.type = OsdOpType::kWriteFull;
   op.pool = pool;
-  op.oid = oid;
+  op.oid = std::move(oid);
   op.len = data.size();
   op.data = std::move(data);
   submit(std::move(op),
          [cb = std::move(cb)](OsdOpReply rep) { cb(rep.status); });
 }
 
-void RadosClient::read(PoolId pool, const std::string& oid, uint64_t off,
+void RadosClient::read(PoolId pool, std::string oid, uint64_t off,
                        uint64_t len, std::function<void(Result<Buffer>)> cb) {
   OsdOp op;
   op.type = OsdOpType::kRead;
   op.pool = pool;
-  op.oid = oid;
+  op.oid = std::move(oid);
   op.off = off;
   op.len = len;
   submit(std::move(op), [cb = std::move(cb)](OsdOpReply rep) {
@@ -192,7 +196,11 @@ BlockDevice::BlockDevice(RadosClient* client, PoolId pool,
 }
 
 std::string BlockDevice::object_for(uint64_t off) const {
-  return name_ + ".obj." + std::to_string(off / object_size_);
+  const std::string n = std::to_string(off / object_size_);
+  std::string oid;
+  oid.reserve(name_.size() + 5 + n.size());
+  oid.append(name_).append(".obj.").append(n);
+  return oid;
 }
 
 void BlockDevice::write(uint64_t off, Buffer data,

@@ -43,11 +43,12 @@ class RadosClient {
   obs::PerfCounters& perf() { return *perf_; }
   const obs::PerfCounters& perf() const { return *perf_; }
 
-  void write(PoolId pool, const std::string& oid, uint64_t off, Buffer data,
+  // The data verbs take the OID by value: it moves into the message.
+  void write(PoolId pool, std::string oid, uint64_t off, Buffer data,
              std::function<void(Status)> cb);
-  void write_full(PoolId pool, const std::string& oid, Buffer data,
+  void write_full(PoolId pool, std::string oid, Buffer data,
                   std::function<void(Status)> cb);
-  void read(PoolId pool, const std::string& oid, uint64_t off, uint64_t len,
+  void read(PoolId pool, std::string oid, uint64_t off, uint64_t len,
             std::function<void(Result<Buffer>)> cb);
   void remove(PoolId pool, const std::string& oid,
               std::function<void(Status)> cb);

@@ -66,22 +66,19 @@ ExecPool::~ExecPool() {
   }
 }
 
-ExecPool::Token ExecPool::submit(Kernel k, std::function<void()> fn) {
-  auto job = std::make_shared<Job>();
-  job->fn = std::move(fn);
+void ExecPool::submit(Kernel k, Token job) {
   job->kernel = k;
   kernel_jobs_[static_cast<int>(k)].fetch_add(1, std::memory_order_relaxed);
   if (parallel()) {
     {
       std::lock_guard<std::mutex> lk(mu_);
-      queue_.push_back(job);
+      queue_.push_back(std::move(job));
     }
     work_cv_.notify_one();
   }
   // Serial: nothing to enqueue — join() steals the token and runs it
   // inline, i.e. the compute lands exactly where the pre-offload code
   // ran it (and, as before, never runs if the completion never fires).
-  return job;
 }
 
 void ExecPool::join(const Token& t) {
@@ -100,12 +97,12 @@ void ExecPool::join(const Token& t) {
   // Destroy the closure here, on the joining (event-loop) thread: Buffer
   // refcounts captured by the job drop at a deterministic point instead
   // of whenever a worker happens to finish.
-  t->fn = nullptr;
+  t->release();
 }
 
 void ExecPool::run_job(Job& j) {
   const uint64_t t0 = host_now_ns();
-  j.fn();
+  j.run();
   kernel_busy_ns_[static_cast<int>(j.kernel)].fetch_add(
       host_now_ns() - t0, std::memory_order_relaxed);
   {

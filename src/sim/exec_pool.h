@@ -28,7 +28,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -57,10 +56,17 @@ class ExecPool {
  public:
   // Job lifecycle: queued -> claimed (by a worker, or stolen by join) ->
   // done.  The CAS from queued to claimed is what makes join() safe to
-  // call at any point relative to worker progress.
+  // call at any point relative to worker progress.  A job is its closure
+  // and its result slot too (see KernelFuture), so one allocation holds
+  // all of it.
   struct Job {
-    std::function<void()> fn;
-    std::atomic<int> state{0};  // kQueued / kClaimed / kDone
+    Job() = default;
+    Job(const Job&) = delete;
+    Job& operator=(const Job&) = delete;
+    virtual ~Job() = default;
+    virtual void run() = 0;
+    virtual void release() = 0;  // destroy the closure
+    std::atomic<int> state{0};   // kQueued / kClaimed / kDone
     Kernel kernel = Kernel::kFingerprint;
   };
   using Token = std::shared_ptr<Job>;
@@ -91,7 +97,7 @@ class ExecPool {
 
   // Submit a pure job.  In parallel mode a worker may start it
   // immediately, so everything it reads must already be immutable.
-  Token submit(Kernel k, std::function<void()> fn);
+  void submit(Kernel k, Token job);
 
   // Block until the job has run (stealing it onto the caller if no worker
   // claimed it yet), then destroy the closure.  Event-loop thread only.
@@ -132,43 +138,42 @@ class KernelFuture {
   KernelFuture() = default;
 
   template <typename Fn>
-  KernelFuture(ExecPool* pool, Kernel k, Fn fn)
-      : out_(std::make_shared<std::optional<T>>()) {
-    auto out = out_;
-    std::function<void()> job = [out, fn = std::move(fn)]() mutable {
-      out->emplace(fn());
-    };
-    if (pool != nullptr) {
-      pool_ = pool;
-      token_ = pool->submit(k, std::move(job));
-    } else {
-      inline_ = std::move(job);
-    }
+  KernelFuture(ExecPool* pool, Kernel k, Fn fn) : pool_(pool) {
+    auto job = std::make_shared<Job<Fn>>(std::move(fn));
+    out_ = &job->out;
+    job_ = std::move(job);
+    if (pool != nullptr) pool->submit(k, job_);
   }
 
-  bool valid() const { return out_ != nullptr; }
+  bool valid() const { return job_ != nullptr; }
 
   // Join (or run inline) and move the result out.  Call exactly once, on
   // the event-loop thread, inside the virtual-time completion callback.
   T take() {
     if (pool_ != nullptr) {
-      pool_->join(token_);
-      token_.reset();
-      pool_ = nullptr;
-    } else if (inline_) {
-      inline_();
-      inline_ = nullptr;
+      pool_->join(job_);
+    } else {
+      job_->run();
+      job_->release();
     }
     T v = std::move(**out_);
-    out_.reset();
+    job_.reset();
     return v;
   }
 
  private:
-  std::shared_ptr<std::optional<T>> out_;
+  template <typename Fn>
+  struct Job final : ExecPool::Job {
+    explicit Job(Fn f) : fn(std::move(f)) {}
+    void run() override { out.emplace((*fn)()); }
+    void release() override { fn.reset(); }
+    std::optional<Fn> fn;
+    std::optional<T> out;
+  };
+
   ExecPool* pool_ = nullptr;
-  ExecPool::Token token_;
-  std::function<void()> inline_;
+  ExecPool::Token job_;
+  std::optional<T>* out_ = nullptr;  // inside *job_
 };
 
 template <typename T, typename Fn>

@@ -109,9 +109,11 @@ TEST(ExecPool, ShutdownWithInFlightJobs) {
   {
     ExecPool pool(2);
     for (int i = 0; i < 64; i++) {
-      pool.submit(Kernel::kCrc, [&ran] {
+      // Dropped unjoined: the queued job outlives its future.
+      kernel_async<int>(&pool, Kernel::kCrc, [&ran] {
         spin(50000);
         ran.fetch_add(1, std::memory_order_relaxed);
+        return 0;
       });
     }
     // No joins: the destructor owns the drain.
