@@ -75,7 +75,6 @@ void ablate_chunk_size() {
     const LoadResult w = run_closed_loop(c, wops.size(), 8, issue);
     c.drain_dedup();
 
-    const auto ts = c.tier_stats(meta);
     const auto ck = c.pool_stats(chunks);
     const double ratio =
         100.0 * (1.0 - static_cast<double>(ck.stored_data_bytes) / 2 /
@@ -83,7 +82,8 @@ void ablate_chunk_size() {
     uint64_t chunk_objs = ck.objects / 2;
     std::printf("%-8u %14.3f %14llu %14llu %12.2f\n", cs / 1024,
                 w.mean_latency_ms(),
-                static_cast<unsigned long long>(ts.chunks_flushed),
+                static_cast<unsigned long long>(
+                    c.perf_sum(l_tier_chunks_flushed, meta)),
                 static_cast<unsigned long long>(chunk_objs), ratio);
   }
   std::printf("\nsmaller chunks: better ratio, more metadata + flush ops;"
@@ -213,12 +213,13 @@ void ablate_hitcount() {
       }
     };
     run_closed_loop(c, 4000, 8, issue);
-    const auto ts = c.tier_stats(meta);
     const auto ms = c.pool_stats(meta);
     std::printf("%-10d %12.3f %14llu %14llu %14s\n", threshold,
                 rd.mean() / 1e6,
-                static_cast<unsigned long long>(ts.hot_skips),
-                static_cast<unsigned long long>(ts.chunks_flushed),
+                static_cast<unsigned long long>(
+                    c.perf_sum(l_tier_hot_skips, meta)),
+                static_cast<unsigned long long>(
+                    c.perf_sum(l_tier_chunks_flushed, meta)),
                 format_bytes(static_cast<double>(ms.stored_data_bytes)).c_str());
   }
   std::printf("\nlow thresholds keep the hot set cached (fast reads, less"
@@ -253,12 +254,12 @@ void ablate_fp_algo() {
     const SimTime t0 = c.sched().now();
     const uint64_t busy0 = c.storage_cpu_busy_ns();
     c.drain_dedup();
-    const auto ts = c.tier_stats(meta);
     std::printf("%-10s %16.3f %16.2f %14llu\n",
                 algo == FingerprintAlgo::kSha1 ? "sha1" : "sha256",
                 static_cast<double>(c.sched().now() - t0) / kSecond,
                 static_cast<double>(c.storage_cpu_busy_ns() - busy0) / 1e6,
-                static_cast<unsigned long long>(ts.chunks_flushed));
+                static_cast<unsigned long long>(
+                    c.perf_sum(l_tier_chunks_flushed, meta)));
   }
 }
 

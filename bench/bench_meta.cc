@@ -34,7 +34,8 @@ namespace {
 
 // Frozen recipe-mode smoke digest (latencies + final counters + omap
 // state).  Regenerate with: bench_meta --smoke (prints the digest).
-constexpr const char* kFrozenSmokeRecipeDigest = "3043f1aa";
+// Re-frozen when the always-zero fingerprint-memo count left the digest.
+constexpr const char* kFrozenSmokeRecipeDigest = "af83cd00";
 
 struct MetaConfig {
   int recipe = 0;         // ClusterConfig.recipe_dedup: 0 force off, 1 on
@@ -152,12 +153,11 @@ MetaResult run_meta(const MetaConfig& mc, bool print_summary) {
   digest_final_state(c, meta, chunks, &dig);
   res.digest = dig.hex();
 
-  const DedupTierStats s = c.tier_stats(meta);
-  res.meta_bytes_actual = s.meta_bytes_actual;
-  res.meta_bytes_baseline = s.meta_bytes_baseline;
-  res.meta_txns = s.meta_txns;
-  res.recipe_chunks = s.recipe_chunks;
-  res.recipe_hits = s.recipe_hits;
+  res.meta_bytes_actual = c.perf_sum(l_tier_meta_bytes_actual, meta);
+  res.meta_bytes_baseline = c.perf_sum(l_tier_meta_bytes_baseline, meta);
+  res.meta_txns = c.perf_sum(l_tier_meta_txns, meta);
+  res.recipe_chunks = c.perf_sum(l_tier_recipe_chunks, meta);
+  res.recipe_hits = c.perf_sum(l_tier_recipe_hits, meta);
   res.omap_bytes = c.pool_stats(meta).omap_bytes;
   if (print_summary) print_obs_summary(c);
   return res;

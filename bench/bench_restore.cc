@@ -11,9 +11,8 @@
 //                  adjacent cold chunks into container objects during the
 //                  drain; the restore reads them back as batched RPCs.
 //
-// plus a determinism check: the forward-assembly read cache is host-side
-// only, so the digest (per-op latencies + final counters) must be
-// byte-identical with GDEDUP_RESTORE_ASSEMBLY on and off.  Rewrite mode
+// The forward-assembly read window is host-side only; the sweep checks
+// that it engages on the fragmented high-dedupe restore.  Rewrite mode
 // intentionally changes placement and carries its own digest, printed
 // here and frozen in tests/test_restore.cc.
 
@@ -31,7 +30,6 @@ namespace {
 struct RestoreConfig {
   double dedupe = 0.0;
   bool rewrite = false;
-  int assembly = -1;  // ClusterConfig.restore_assembly: -1 env, 0 off, 1 on
   uint64_t image_bytes = 64ull << 20;
 };
 
@@ -53,7 +51,6 @@ RestoreResult run_restore(const RestoreConfig& rc, bool print_summary) {
   cc.storage_nodes = 3;
   cc.osds_per_node = 2;
   cc.client_nodes = 1;
-  cc.restore_assembly = rc.assembly;
   // 25GbE fabric: restore locality is a *disk* phenomenon — the sweep
   // must not hide chunk-pool seek amplification behind a saturated client
   // NIC (10GbE caps at ~1.2 GB/s, right where the rewritten curve sits).
@@ -102,7 +99,12 @@ RestoreResult run_restore(const RestoreConfig& rc, bool print_summary) {
     const auto sc = c.pool_stats(chunks);
     res.physical_bytes = sb.physical_bytes + sc.physical_bytes;
   }
-  const DedupTierStats before = c.tier_stats(base);
+  auto tier = [&c, base](int idx) { return c.perf_sum(idx, base); };
+  const uint64_t bytes0 = tier(l_tier_read_logical_bytes);
+  const uint64_t objs0 = tier(l_tier_read_chunk_objects);
+  const uint64_t rpcs0 = tier(l_tier_read_chunk_rpcs);
+  const uint64_t cached0 = tier(l_tier_cached_read_chunks);
+  const uint64_t remote0 = tier(l_tier_redirected_read_chunks);
 
   // Phase 3: cold sequential restore, 256 KiB reads.  Deep enough queue
   // to be capacity-bound — fragmentation shows up as burned device time
@@ -124,18 +126,17 @@ RestoreResult run_restore(const RestoreConfig& rc, bool print_summary) {
   digest_final_state(c, base, chunks, &dig);
   res.digest = dig.hex();
 
-  const DedupTierStats after = c.tier_stats(base);
-  const uint64_t bytes = after.read_logical_bytes - before.read_logical_bytes;
-  const uint64_t objs = after.read_chunk_objects - before.read_chunk_objects;
+  const uint64_t bytes = tier(l_tier_read_logical_bytes) - bytes0;
+  const uint64_t objs = tier(l_tier_read_chunk_objects) - objs0;
   res.objects_per_mb =
       bytes > 0 ? static_cast<double>(objs) /
                       (static_cast<double>(bytes) / (1024.0 * 1024.0))
                 : 0.0;
-  res.read_rpcs = after.read_chunk_rpcs - before.read_chunk_rpcs;
-  res.asm_hits = after.asm_hits;
-  res.asm_window_opens = after.asm_window_opens;
-  res.rewrite_runs = after.rewrite_runs;
-  res.rewrite_chunks = after.rewrite_chunks;
+  res.read_rpcs = tier(l_tier_read_chunk_rpcs) - rpcs0;
+  res.asm_hits = tier(l_tier_asm_hits);
+  res.asm_window_opens = tier(l_tier_asm_window_opens);
+  res.rewrite_runs = tier(l_tier_rewrite_runs);
+  res.rewrite_chunks = tier(l_tier_rewrite_chunks);
 
   if (print_summary) print_obs_summary(c);
   if (std::getenv("BENCH_RESTORE_DEBUG") != nullptr) {
@@ -144,19 +145,17 @@ RestoreResult run_restore(const RestoreConfig& rc, bool print_summary) {
         "hot_skip=%llu promo=%llu cached_rd=%llu remote_rd=%llu rw_runs=%llu "
         "rw_chunks=%llu asm_open=%llu asm_hit=%llu\n",
         rc.dedupe, rc.rewrite ? 1 : 0, res.drained ? 1 : 0,
-        (unsigned long long)after.chunks_flushed,
-        (unsigned long long)after.evictions,
-        (unsigned long long)after.noop_flushes,
-        (unsigned long long)after.hot_skips,
-        (unsigned long long)after.promotions,
-        (unsigned long long)(after.cached_read_chunks -
-                             before.cached_read_chunks),
-        (unsigned long long)(after.redirected_read_chunks -
-                             before.redirected_read_chunks),
-        (unsigned long long)after.rewrite_runs,
-        (unsigned long long)after.rewrite_chunks,
-        (unsigned long long)after.asm_window_opens,
-        (unsigned long long)after.asm_hits);
+        (unsigned long long)tier(l_tier_chunks_flushed),
+        (unsigned long long)tier(l_tier_evictions),
+        (unsigned long long)tier(l_tier_noop_flushes),
+        (unsigned long long)tier(l_tier_hot_skips),
+        (unsigned long long)tier(l_tier_promotions),
+        (unsigned long long)(tier(l_tier_cached_read_chunks) - cached0),
+        (unsigned long long)(tier(l_tier_redirected_read_chunks) - remote0),
+        (unsigned long long)res.rewrite_runs,
+        (unsigned long long)res.rewrite_chunks,
+        (unsigned long long)res.asm_window_opens,
+        (unsigned long long)res.asm_hits);
   }
   return res;
 }
@@ -187,8 +186,8 @@ int run(int argc, char** argv) {
   double worst_high_dedupe_speedup = 1e9;
   for (size_t i = 0; i < ratios.size(); i++) {
     const double d = ratios[i];
-    RestoreConfig off_cfg{d, /*rewrite=*/false, /*assembly=*/-1, image};
-    RestoreConfig on_cfg{d, /*rewrite=*/true, /*assembly=*/-1, image};
+    RestoreConfig off_cfg{d, /*rewrite=*/false, image};
+    RestoreConfig on_cfg{d, /*rewrite=*/true, image};
     const bool last = i + 1 == ratios.size();
     RestoreResult off = run_restore(off_cfg, false);
     RestoreResult on = run_restore(on_cfg, last);
@@ -213,6 +212,12 @@ int run(int argc, char** argv) {
     }
     if (d >= 0.9) worst_high_dedupe_speedup =
         std::min(worst_high_dedupe_speedup, speedup);
+    // The fragmented restore is the sequential sweep the forward-assembly
+    // window exists for: it must engage there.
+    if (d >= 0.9 && (off.asm_hits == 0 || off.asm_window_opens == 0)) {
+      std::printf("  FAIL: assembly window never engaged at %.2f\n", d);
+      ok = false;
+    }
     char key[64];
     std::snprintf(key, sizeof(key), "d%02d", static_cast<int>(d * 100));
     jw.add(std::string(key) + ".off_mbps", off.restore_mbps);
@@ -222,6 +227,8 @@ int run(int argc, char** argv) {
     jw.add(std::string(key) + ".rewrite_objs_per_mb", on.objects_per_mb);
     jw.add(std::string(key) + ".rewrite_runs",
            static_cast<double>(on.rewrite_runs));
+    jw.add(std::string(key) + ".off_asm_hits",
+           static_cast<double>(off.asm_hits));
     jw.add(std::string(key) + ".phys_blowup", blowup);
     if (last) jw.add(std::string(key) + ".rewrite_digest", on.digest);
   }
@@ -236,28 +243,6 @@ int run(int argc, char** argv) {
                 worst_high_dedupe_speedup);
   }
   jw.add("high_dedupe_speedup", worst_high_dedupe_speedup);
-
-  // Determinism: the forward-assembly cache must not move a single event.
-  {
-    RestoreConfig a{0.9, /*rewrite=*/false, /*assembly=*/0, image};
-    RestoreConfig b{0.9, /*rewrite=*/false, /*assembly=*/1, image};
-    RestoreResult ra = run_restore(a, false);
-    RestoreResult rb = run_restore(b, false);
-    std::printf("assembly digest off=%s on=%s (%s), asm_hits=%llu\n",
-                ra.digest.c_str(), rb.digest.c_str(),
-                ra.digest == rb.digest ? "IDENTICAL" : "MISMATCH",
-                static_cast<unsigned long long>(rb.asm_hits));
-    if (ra.digest != rb.digest) {
-      std::printf("FAIL: assembly cache perturbed the determinism digest\n");
-      ok = false;
-    }
-    if (rb.asm_hits == 0 || rb.asm_window_opens == 0) {
-      std::printf("FAIL: assembly cache never engaged on a sequential sweep\n");
-      ok = false;
-    }
-    jw.add("assembly_digest", rb.digest);
-    jw.add("asm_hits", static_cast<double>(rb.asm_hits));
-  }
 
   if (!json_path.empty() && !jw.write_file(json_path)) {
     std::printf("FAIL: could not write %s\n", json_path.c_str());

@@ -13,11 +13,11 @@
 // the simulation-core fast path must preserve while making the wall clock
 // faster.
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "bench_util.h"
 #include "common/crc32.h"
@@ -79,12 +79,13 @@ struct SimE2eConfig {
   // EC(2,1) base + chunk pools instead of 2x replicated: exercises the
   // ReedSolomon encode/decode kernels on the client and flush paths.
   bool ec = false;
-  // Two-tier fingerprint fast path.  -1 = inherit GDEDUP_FP_FASTPATH
-  // (default on), 0 = force off, 1 = force on.  The digest is the same
-  // for every value — the fast path changes host-side work only.
-  int fp_fastpath = -1;
+  // Weak-hash override installed on every tier (DedupTier::
+  // set_weak_hash_hook); nullptr keeps the real weak hash.  The digest is
+  // the same for every hook — the fingerprint index changes host-side
+  // work only.
+  DedupTier::WeakHashHook weak_hash_hook;
   // Recipe-chunk metadata dedup.  -1 = inherit GDEDUP_RECIPE_DEDUP
-  // (default off), 0 = force off, 1 = force on.  Unlike the knobs above
+  // (default off), 0 = force off, 1 = force on.  Unlike the settings above
   // this changes on-disk layout and chunk traffic, so each state has its
   // own digest; either state is shard/thread-count invariant.
   int recipe_dedup = -1;
@@ -122,13 +123,11 @@ struct SimE2eResult {
 
   // Two-tier fingerprint fast path + chunk-map metadata accounting
   // (host-side observability; never digested).
-  bool fp_fastpath_used = false;
   uint64_t sha_computed = 0;
   uint64_t sha_avoided = 0;
   uint64_t weak_hash_hits = 0;
   uint64_t weak_collisions = 0;
   uint64_t bloom_negative_hits = 0;
-  uint64_t fingerprint_cache_hits = 0;
   uint64_t meta_bytes_read = 0;
   uint64_t meta_bytes_written = 0;
   uint64_t refs_decodes = 0;
@@ -138,12 +137,11 @@ struct SimE2eResult {
   uint64_t telemetry_ticks = 0;
 
   // Share of fingerprint requests answered without running the full SHA
-  // (memo + verified index hits over all requests).
+  // (verified index hits over all requests).
   double sha_avoided_ratio() const {
-    const uint64_t total = sha_computed + sha_avoided + fingerprint_cache_hits;
+    const uint64_t total = sha_computed + sha_avoided;
     if (total == 0) return 0.0;
-    return static_cast<double>(sha_avoided + fingerprint_cache_hits) /
-           static_cast<double>(total);
+    return static_cast<double>(sha_avoided) / static_cast<double>(total);
   }
   // Chunk-map metadata bytes read per client payload byte moved.
   double meta_read_amp() const {
@@ -166,53 +164,31 @@ inline IssueFn digesting_issuer(Cluster& c, IssueFn inner,
   };
 }
 
+// A weak hash that never repeats a value: every fingerprint-index probe
+// misses, so every chunk pays a full SHA.  One counter serves every tier
+// the returned hook is copied to.
+inline DedupTier::WeakHashHook never_repeating_weak_hash() {
+  auto next = std::make_shared<std::atomic<uint64_t>>(0);
+  return [next](const Buffer&) { return next->fetch_add(1); };
+}
+
 inline void digest_final_state(Cluster& c, PoolId base_pool, PoolId chunk_pool,
                                DeterminismDigest* dig) {
-  OsdStats osd_agg;
-  for (Osd* o : c.osds()) {
-    const OsdStats& s = o->stats();
-    osd_agg.client_ops += s.client_ops;
-    osd_agg.reads += s.reads;
-    osd_agg.writes += s.writes;
-    osd_agg.sub_writes += s.sub_writes;
-    osd_agg.chunk_puts += s.chunk_puts;
-    osd_agg.chunk_created += s.chunk_created;
-    osd_agg.chunk_dedup_hits += s.chunk_dedup_hits;
-    osd_agg.chunk_derefs += s.chunk_derefs;
-    osd_agg.chunks_reclaimed += s.chunks_reclaimed;
-    osd_agg.pulls += s.pulls;
-    osd_agg.pushes += s.pushes;
+  for (int idx : {l_osd_client_ops, l_osd_reads, l_osd_writes,
+                  l_osd_sub_writes, l_osd_chunk_puts, l_osd_chunk_created,
+                  l_osd_chunk_dedup_hits, l_osd_chunk_derefs,
+                  l_osd_chunks_reclaimed, l_osd_pulls, l_osd_pushes}) {
+    dig->u64(c.perf_sum(idx));
   }
-  dig->u64(osd_agg.client_ops);
-  dig->u64(osd_agg.reads);
-  dig->u64(osd_agg.writes);
-  dig->u64(osd_agg.sub_writes);
-  dig->u64(osd_agg.chunk_puts);
-  dig->u64(osd_agg.chunk_created);
-  dig->u64(osd_agg.chunk_dedup_hits);
-  dig->u64(osd_agg.chunk_derefs);
-  dig->u64(osd_agg.chunks_reclaimed);
-  dig->u64(osd_agg.pulls);
-  dig->u64(osd_agg.pushes);
-
-  const DedupTierStats t = c.tier_stats(base_pool);
-  dig->u64(t.writes);
-  dig->u64(t.reads);
-  dig->u64(t.removes);
-  dig->u64(t.prereads);
-  dig->u64(t.flush_merges);
-  dig->u64(t.cached_read_chunks);
-  dig->u64(t.redirected_read_chunks);
-  dig->u64(t.chunks_flushed);
-  dig->u64(t.flush_bytes);
-  dig->u64(t.noop_flushes);
-  dig->u64(t.derefs);
-  dig->u64(t.evictions);
-  dig->u64(t.capacity_evictions);
-  dig->u64(t.promotions);
-  dig->u64(t.hot_skips);
-  dig->u64(t.racy_flushes);
-  dig->u64(t.fingerprint_cache_hits);
+  for (int idx : {l_tier_writes, l_tier_reads, l_tier_removes,
+                  l_tier_prereads, l_tier_flush_merges,
+                  l_tier_cached_read_chunks, l_tier_redirected_read_chunks,
+                  l_tier_chunks_flushed, l_tier_flush_bytes,
+                  l_tier_noop_flushes, l_tier_derefs, l_tier_evictions,
+                  l_tier_capacity_evictions, l_tier_promotions,
+                  l_tier_hot_skips, l_tier_racy_flushes}) {
+    dig->u64(c.perf_sum(idx, base_pool));
+  }
 
   for (PoolId p : {base_pool, chunk_pool}) {
     const ObjectStore::Stats s = c.pool_stats(p);
@@ -236,7 +212,6 @@ inline SimE2eResult run_sim_e2e(const SimE2eConfig& cfg) {
   cc.client_nodes = cfg.client_nodes;
   cc.exec_threads = cfg.exec_threads;
   cc.sim_shards = cfg.sim_shards;
-  cc.fp_fastpath = cfg.fp_fastpath;
   cc.recipe_dedup = cfg.recipe_dedup;
   Cluster c(cc);
 
@@ -245,6 +220,11 @@ inline SimE2eResult run_sim_e2e(const SimE2eConfig& cfg) {
   const PoolId chunks = cfg.ec ? c.create_ec_pool("chunks", 2, 1)
                                : c.create_replicated_pool("chunks", 2);
   c.enable_dedup(base, chunks, bench_tier_config(cfg.chunk_size));
+  if (cfg.weak_hash_hook) {
+    for (Osd* o : c.osds()) {
+      c.tier_of(o->id(), base)->set_weak_hash_hook(cfg.weak_hash_hook);
+    }
+  }
 
   RadosClient client(&c, c.client_node(0));
   BlockDevice bdev(&client, base, "e2e-image", cfg.image_bytes,
@@ -341,21 +321,15 @@ inline SimE2eResult run_sim_e2e(const SimE2eConfig& cfg) {
                            s.busy_ns});
   }
 
-  res.fp_fastpath_used = c.fp_fastpath();
-  const DedupTierStats ts = c.tier_stats(base);
-  res.sha_computed = ts.sha_computed;
-  res.sha_avoided = ts.sha_avoided;
-  res.weak_hash_hits = ts.weak_hash_hits;
-  res.weak_collisions = ts.weak_collisions;
-  res.bloom_negative_hits = ts.bloom_negative_hits;
-  res.fingerprint_cache_hits = ts.fingerprint_cache_hits;
-  for (Osd* o : c.osds()) {
-    const OsdStats& s = o->stats();
-    res.meta_bytes_read += s.meta_bytes_read;
-    res.meta_bytes_written += s.meta_bytes_written;
-    res.refs_decodes += s.refs_decodes;
-    res.refs_cache_hits += s.refs_cache_hits;
-  }
+  res.sha_computed = c.perf_sum(l_tier_sha_computed, base);
+  res.sha_avoided = c.perf_sum(l_tier_sha_avoided, base);
+  res.weak_hash_hits = c.perf_sum(l_tier_weak_hash_hits, base);
+  res.weak_collisions = c.perf_sum(l_tier_weak_collisions, base);
+  res.bloom_negative_hits = c.perf_sum(l_tier_bloom_negative_hits, base);
+  res.meta_bytes_read = c.perf_sum(l_osd_meta_bytes_read);
+  res.meta_bytes_written = c.perf_sum(l_osd_meta_bytes_written);
+  res.refs_decodes = c.perf_sum(l_osd_refs_decodes);
+  res.refs_cache_hits = c.perf_sum(l_osd_refs_cache_hits);
   return res;
 }
 

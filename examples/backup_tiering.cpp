@@ -79,10 +79,11 @@ RunStats run(bool rate_control, SimTime duration) {
   while (fg_outstanding > 0 && cluster.sched().step()) {
   }
 
-  const auto ts = cluster.tier_stats(meta);
   return {fg_lat.mean() / 1e6,
-          static_cast<double>(fg_lat.percentile(0.99)) / 1e6, ts.hot_skips,
-          ts.evictions, ts.chunks_flushed};
+          static_cast<double>(fg_lat.percentile(0.99)) / 1e6,
+          cluster.perf_sum(l_tier_hot_skips, meta),
+          cluster.perf_sum(l_tier_evictions, meta),
+          cluster.perf_sum(l_tier_chunks_flushed, meta)};
 }
 
 }  // namespace

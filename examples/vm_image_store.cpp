@@ -74,11 +74,13 @@ int main(int argc, char** argv) {
     prev_physical = physical;
   }
 
-  const auto ts = cluster.tier_stats(meta);
   std::printf("\nengine: %llu chunks flushed, %llu evictions, %llu derefs\n",
-              static_cast<unsigned long long>(ts.chunks_flushed),
-              static_cast<unsigned long long>(ts.evictions),
-              static_cast<unsigned long long>(ts.derefs));
+              static_cast<unsigned long long>(
+                  cluster.perf_sum(l_tier_chunks_flushed, meta)),
+              static_cast<unsigned long long>(
+                  cluster.perf_sum(l_tier_evictions, meta)),
+              static_cast<unsigned long long>(
+                  cluster.perf_sum(l_tier_derefs, meta)));
 
   // Verify a clone end to end.
   Buffer expect = corpus.image_block(images - 1, 0);

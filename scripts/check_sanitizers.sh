@@ -84,11 +84,15 @@ cd "${tsan_dir}"
 # fault-campaign smoke re-runs its schedules multi-threaded, the bench
 # smoke asserts the MT determinism digest equals the frozen serial
 # reference, and the obs byte-identity tests see the multi-shard event
-# order.  Parallel windows stay off here: op-trace ids are assigned in
-# wall-clock order across shard workers (DESIGN.md §9), so obs-dump
-# byte-identity is a serial-execution guarantee.
+# order.  The node-local fingerprint index is thread-confined by design
+# (probes/inserts only from the owning node's event thread);
+# test_fp_fastpath and bench_fp_smoke make TSan check that claim wherever
+# shard windows, kernel workers and the refs cache interleave.  Parallel
+# windows stay off here: op-trace ids are assigned in wall-clock order
+# across shard workers (DESIGN.md §9), so obs-dump byte-identity is a
+# serial-execution guarantee.
 GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 ctest_run -R \
-    'test_observability|perf_dump_smoke|test_exec_pool|fault_smoke|bench_smoke|sim_e2e_smoke'
+    'test_observability|perf_dump_smoke|test_exec_pool|fault_smoke|bench_smoke|sim_e2e_smoke|test_fp_fastpath|bench_fp_smoke'
 
 # Parallel shard windows on top for the digest tests: cross-shard inbox
 # handoff, gated object-store/OSD locks and barrier synchronization get
@@ -96,15 +100,6 @@ GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 ctest_run -R \
 GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 GDEDUP_SIM_PARALLEL=1 \
     ctest_run -R \
     'test_sim_determinism|test_sim_shards|sim_e2e_smoke'
-
-# Fast-path phase: the two-tier fingerprint path forced ON while the exec
-# pool offloads kernels and the engine runs four shards.  The node-local
-# fingerprint index is thread-confined by design (probes/inserts only from
-# the owning node's event thread); this run makes TSan check that claim
-# wherever shard windows, kernel workers and the refs cache interleave.
-GDEDUP_FP_FASTPATH=1 GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 \
-    ctest_run -R \
-    'test_fp_fastpath|bench_fp_smoke|sim_e2e_smoke'
 
 # Recipe phase: recipe-chunk metadata dedup forced ON under four shards +
 # four kernel workers.  The compactor's async window stepper, the batched

@@ -1,7 +1,9 @@
 #pragma once
 
-// Node-local fingerprint index — tier 1 of the two-tier fingerprint fast
-// path (tier 0 is the COW-generation memo in fingerprint_cache.h).
+// Node-local fingerprint index — the first tier of the two-tier
+// fingerprint path in DedupTier::fingerprint_async: a verified hit here
+// skips the second tier, the full SHA kernel.  It is the tier's only
+// "don't re-hash known content" cache, and it is always on.
 //
 // Maps the weak 64-bit content hash (hash/weak_hash.h) of recently
 // fingerprinted chunks to their full SHA fingerprint *and* their real

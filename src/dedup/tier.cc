@@ -112,53 +112,6 @@ DedupTier::DedupTier(Osd* osd, PoolId pool)
   if (auto* reg = osd_->ctx().perf_registry()) reg->add(perf_);
 }
 
-void DedupTier::refresh_stats_view() const {
-  stats_view_.writes = perf_->get(l_tier_writes);
-  stats_view_.reads = perf_->get(l_tier_reads);
-  stats_view_.removes = perf_->get(l_tier_removes);
-  stats_view_.prereads = perf_->get(l_tier_prereads);
-  stats_view_.flush_merges = perf_->get(l_tier_flush_merges);
-  stats_view_.cached_read_chunks = perf_->get(l_tier_cached_read_chunks);
-  stats_view_.redirected_read_chunks =
-      perf_->get(l_tier_redirected_read_chunks);
-  stats_view_.chunks_flushed = perf_->get(l_tier_chunks_flushed);
-  stats_view_.flush_bytes = perf_->get(l_tier_flush_bytes);
-  stats_view_.noop_flushes = perf_->get(l_tier_noop_flushes);
-  stats_view_.derefs = perf_->get(l_tier_derefs);
-  stats_view_.evictions = perf_->get(l_tier_evictions);
-  stats_view_.capacity_evictions = perf_->get(l_tier_capacity_evictions);
-  stats_view_.promotions = perf_->get(l_tier_promotions);
-  stats_view_.hot_skips = perf_->get(l_tier_hot_skips);
-  stats_view_.racy_flushes = perf_->get(l_tier_racy_flushes);
-  stats_view_.degraded_pulls = perf_->get(l_tier_degraded_pulls);
-  stats_view_.orphan_adoptions = perf_->get(l_tier_orphan_adoptions);
-  stats_view_.engine_ticks = perf_->get(l_tier_engine_ticks);
-  stats_view_.engine_aborts = perf_->get(l_tier_engine_aborts);
-  stats_view_.fingerprint_cache_hits =
-      perf_->get(l_tier_fingerprint_cache_hits);
-  stats_view_.weak_hash_hits = perf_->get(l_tier_weak_hash_hits);
-  stats_view_.weak_hash_misses = perf_->get(l_tier_weak_hash_misses);
-  stats_view_.weak_collisions = perf_->get(l_tier_weak_collisions);
-  stats_view_.bloom_negative_hits = perf_->get(l_tier_bloom_negative_hits);
-  stats_view_.sha_computed = perf_->get(l_tier_sha_computed);
-  stats_view_.sha_avoided = perf_->get(l_tier_sha_avoided);
-  stats_view_.read_logical_bytes = perf_->get(l_tier_read_logical_bytes);
-  stats_view_.read_chunk_objects = perf_->get(l_tier_read_chunk_objects);
-  stats_view_.read_chunk_rpcs = perf_->get(l_tier_read_chunk_rpcs);
-  stats_view_.asm_window_opens = perf_->get(l_tier_asm_window_opens);
-  stats_view_.asm_hits = perf_->get(l_tier_asm_hits);
-  stats_view_.asm_prefetched_refs = perf_->get(l_tier_asm_prefetched_refs);
-  stats_view_.asm_wasted_refs = perf_->get(l_tier_asm_wasted_refs);
-  stats_view_.rewrite_runs = perf_->get(l_tier_rewrite_runs);
-  stats_view_.rewrite_chunks = perf_->get(l_tier_rewrite_chunks);
-  stats_view_.rewrite_bytes = perf_->get(l_tier_rewrite_bytes);
-  stats_view_.recipe_chunks = perf_->get(l_tier_recipe_chunks);
-  stats_view_.recipe_hits = perf_->get(l_tier_recipe_hits);
-  stats_view_.meta_txns = perf_->get(l_tier_meta_txns);
-  stats_view_.meta_bytes_baseline = perf_->get(l_tier_meta_bytes_baseline);
-  stats_view_.meta_bytes_actual = perf_->get(l_tier_meta_bytes_actual);
-}
-
 void DedupTier::sync_telemetry_gauges() {
   perf_->set_gauge(l_tier_backlog, static_cast<int64_t>(dirty_backlog()));
   perf_->set_gauge(l_tier_backlog_derefs,
@@ -180,12 +133,11 @@ void DedupTier::sync_telemetry_gauges() {
   perf_->set_gauge(l_tier_recipe_inline_tail, tail);
   // Bloom-rebuild visibility for the node-shared fingerprint index; every
   // tier of the node mirrors the same totals (aggregate with max).
-  if (FingerprintIndex* idx = fp_index()) {
-    perf_->set_gauge(l_tier_bloom_rebuilds,
-                     static_cast<int64_t>(idx->stats().bloom_rebuilds));
-    perf_->set_gauge(l_tier_bloom_rebuild_ns,
-                     static_cast<int64_t>(idx->bloom_rebuild_cost_ns()));
-  }
+  FingerprintIndex* idx = fp_index();
+  perf_->set_gauge(l_tier_bloom_rebuilds,
+                   static_cast<int64_t>(idx->stats().bloom_rebuilds));
+  perf_->set_gauge(l_tier_bloom_rebuild_ns,
+                   static_cast<int64_t>(idx->bloom_rebuild_cost_ns()));
 }
 
 // --------------------------------------------------------- object context
@@ -1082,8 +1034,8 @@ void DedupTier::inline_write(const OsdOp& op, ReplyFn reply) {
       content.write_at(cov_b - c, data.slice(cov_b - off, cov_e - cov_b));
 
       // Fingerprint on the foreground path: CPU is costed and the hash is
-      // really computed (it becomes the chunk OID), unless the memoization
-      // cache already knows this exact content.
+      // really computed (it becomes the chunk OID), unless the fingerprint
+      // index verifies this exact content.
       fingerprint_async(
           content,
           [this, c, clen, content, oid, step, finish,
@@ -1190,7 +1142,7 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
   // attempt consults the window.
   AssemblyWindow* win = nullptr;
   const uint32_t cs = chunker_.chunk_size();
-  if (attempt == 0 && osd_->ctx().restore_assembly()) {
+  if (attempt == 0) {
     AssemblyWindow& w = asm_windows_[oid];
     if (w.streak > 0 && off == w.expect_off) {
       w.streak++;
@@ -1791,96 +1743,65 @@ FingerprintIndex* DedupTier::fp_index() {
   return own_fp_index_.get();
 }
 
-uint64_t DedupTier::weak_hash_of(const Buffer& content) {
-  if (weak_hash_hook_) return weak_hash_hook_(content);
-  return WeakHasher::oneshot(content.span());
-}
-
 void DedupTier::fingerprint_async(const Buffer& content,
                                   std::function<void(const Fingerprint&)> k,
                                   obs::OpTraceRef trace) {
   const FingerprintAlgo algo = cfg().fp_algo;
-  const bool fast = osd_->ctx().fp_fastpath();
-  FingerprintIndex* idx = fast ? fp_index() : nullptr;
-  if (const FingerprintCache::Entry* hit = fp_cache_.find(content, algo)) {
-    // Known content: skip the hash and its simulated CPU cost entirely.
-    perf_->inc(l_tier_fingerprint_cache_hits);
-    perf_->record(l_tier_fingerprint_lat, 0);
-    if (trace) trace->event("fingerprint_cache_hit", sched().now());
-    if (idx != nullptr && hit->weak != FingerprintCache::kNoWeakHash) {
-      // Keep the two caches coherent: a memo hit answers for this buffer
-      // identity, but the *content* must stay probeable for the next
-      // different buffer with the same bytes.  O(1) — the memo entry
-      // remembered the weak hash.
-      idx->insert(hit->weak, content, hit->fp);
-    }
-    k(hit->fp);
-    return;
-  }
+  FingerprintIndex* idx = fp_index();
   const SimTime t0 = sched().now();
   const size_t sp = trace ? trace->span_begin("fingerprint", t0) : 0;
   CpuModel& cpu = osd_->ctx().node_cpu(osd_->node());
 
   // Tier 1 of the fast path: weak-hash the bytes (an order of magnitude
-  // cheaper than SHA) and probe the node index.  A verified hit replays
-  // the miss path's virtual-time trajectory exactly — same costed CPU
-  // execute, same latency record, same trace span — minus the host-side
-  // SHA kernel; a collision or miss falls through to the real hash.
-  const uint64_t weak =
-      idx != nullptr ? weak_hash_of(content) : FingerprintCache::kNoWeakHash;
-  if (idx != nullptr) {
-    const FingerprintIndex::ProbeResult pr = idx->probe(weak, content);
-    switch (pr.outcome) {
-      case FingerprintIndex::Outcome::kVerifiedHit:
-        perf_->inc(l_tier_weak_hash_hits);
-        break;
-      case FingerprintIndex::Outcome::kCollision:
-        perf_->inc(l_tier_weak_hash_hits);
-        perf_->inc(l_tier_weak_collisions);
-        break;
-      case FingerprintIndex::Outcome::kBloomNegative:
-        perf_->inc(l_tier_bloom_negative_hits);
-        perf_->inc(l_tier_weak_hash_misses);
-        break;
-      case FingerprintIndex::Outcome::kMiss:
-        perf_->inc(l_tier_weak_hash_misses);
-        break;
-    }
-    if (pr.hit()) {
-      perf_->inc(l_tier_sha_avoided);
-      // Copy out: the entry can be evicted before the costed completion.
-      cpu.execute(
-          cpu.fingerprint_cost(content.size(), algo == FingerprintAlgo::kSha1),
-          [this, algo, content, weak, t0, trace = std::move(trace), sp,
-           fp = *pr.fp, k = std::move(k)]() mutable {
-            const SimTime now = sched().now();
-            perf_->record(l_tier_fingerprint_lat,
-                          static_cast<uint64_t>(now - t0));
-            if (trace) trace->span_end(sp, now);
-            fp_cache_.insert(content, algo, fp, weak);
-            k(fp);
-          });
-      return;
-    }
+  // cheaper than SHA) and probe the node index.
+  const uint64_t weak = weak_hash_hook_ ? weak_hash_hook_(content)
+                                        : WeakHasher::oneshot(content.span());
+  const FingerprintIndex::ProbeResult pr = idx->probe(weak, content);
+  switch (pr.outcome) {
+    case FingerprintIndex::Outcome::kVerifiedHit:
+      perf_->inc(l_tier_weak_hash_hits);
+      break;
+    case FingerprintIndex::Outcome::kCollision:
+      perf_->inc(l_tier_weak_hash_hits);
+      perf_->inc(l_tier_weak_collisions);
+      break;
+    case FingerprintIndex::Outcome::kBloomNegative:
+      perf_->inc(l_tier_bloom_negative_hits);
+      perf_->inc(l_tier_weak_hash_misses);
+      break;
+    case FingerprintIndex::Outcome::kMiss:
+      perf_->inc(l_tier_weak_hash_misses);
+      break;
   }
-  perf_->inc(l_tier_sha_computed);
-  // Submit the real hash at issue time; a worker overlaps it with the
-  // simulated cost below, and take() inside the completion callback is
-  // where the result becomes observable (inline there in serial mode).
-  auto fp_fut = kernel_async<Fingerprint>(
-      osd_->ctx().exec_pool(), Kernel::kFingerprint,
-      [algo, content] { return Fingerprint::compute(algo, content.span()); });
+  // A verified hit takes the miss path's virtual-time trajectory exactly —
+  // same costed CPU execute, latency record and trace span — minus the
+  // host-side SHA kernel; a collision or miss runs the real hash.
+  Fingerprint fp;
+  KernelFuture<Fingerprint> fp_fut;
+  if (pr.hit()) {
+    perf_->inc(l_tier_sha_avoided);
+    fp = *pr.fp;  // copy out: the entry can be evicted before completion
+  } else {
+    perf_->inc(l_tier_sha_computed);
+    // Submit the real hash at issue time; a worker overlaps it with the
+    // simulated cost below, and take() inside the completion callback is
+    // where the result becomes observable (inline there in serial mode).
+    fp_fut = kernel_async<Fingerprint>(
+        osd_->ctx().exec_pool(), Kernel::kFingerprint,
+        [algo, content] { return Fingerprint::compute(algo, content.span()); });
+  }
   cpu.execute(
       cpu.fingerprint_cost(content.size(), algo == FingerprintAlgo::kSha1),
-      [this, algo, content, weak, idx, t0, trace = std::move(trace), sp,
+      [this, content, weak, idx, t0, trace = std::move(trace), sp, fp,
        fp_fut = std::move(fp_fut), k = std::move(k)]() mutable {
         const SimTime now = sched().now();
         perf_->record(l_tier_fingerprint_lat,
                       static_cast<uint64_t>(now - t0));
         if (trace) trace->span_end(sp, now);
-        const Fingerprint fp = fp_fut.take();
-        fp_cache_.insert(content, algo, fp, weak);
-        if (idx != nullptr) idx->insert(weak, content, fp);
+        if (fp_fut.valid()) {
+          fp = fp_fut.take();
+          idx->insert(weak, content, fp);
+        }
         k(fp);
       });
 }

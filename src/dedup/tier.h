@@ -48,7 +48,6 @@
 #include "common/lru.h"
 #include "dedup/chunk_map.h"
 #include "dedup/chunker.h"
-#include "dedup/fingerprint_cache.h"
 #include "dedup/fingerprint_index.h"
 #include "dedup/hitset.h"
 #include "dedup/rate_controller.h"
@@ -78,8 +77,8 @@ inline const char* failure_point_name(FailurePoint p) {
 }
 
 // Perf-counter indices for one tier engine (registry entity
-// "tier.osd<id>.pool<pool>").  Counters are the source of truth;
-// DedupTierStats below is a compatibility view rebuilt on demand.
+// "tier.osd<id>.pool<pool>").  Callers read them through perf(), or
+// summed across the cluster through Cluster::perf_sum.
 enum {
   l_tier_first = 2000,
   l_tier_writes,
@@ -102,10 +101,13 @@ enum {
   l_tier_orphan_adoptions,
   l_tier_engine_ticks,
   l_tier_engine_aborts,
+  // Always 0: the fingerprint memo it counted is gone.  Kept registered
+  // because perfbench/harness.cc reads it, and perfbench/ only changes
+  // together with the benchmark definition.
   l_tier_fingerprint_cache_hits,
   // Two-tier fingerprint fast path (dedup/fingerprint_index.h).  Host-
-  // side work only — never digested: they differ with the fast path
-  // on/off while the determinism digest must not.
+  // side work only — never digested: a weak hash that never repeats
+  // (set_weak_hash_hook) moves them while the determinism digest must not.
   l_tier_weak_hash_hits,      // index candidate found (pre-verification)
   l_tier_weak_hash_misses,    // no candidate under the weak hash
   l_tier_weak_collisions,     // candidate bytes differed; SHA fallback
@@ -150,7 +152,7 @@ enum {
   l_tier_bloom_rebuild_ns,    // gauge: modeled ns spent in those rebuilds
   l_tier_write_lat,        // tier write handling, entry -> client ack, ns
   l_tier_read_lat,         // tier read handling, entry -> reply, ns
-  l_tier_fingerprint_lat,  // costed fingerprint compute (cache hits = 0ns)
+  l_tier_fingerprint_lat,  // costed fingerprint compute, ns
   l_tier_chunk_put_lat,    // chunk-pool put round trip
   l_tier_chunk_deref_lat,  // chunk-pool deref round trip
   l_tier_merge_read_lat,   // chunk-pool reads (RMW fills / redirects)
@@ -158,57 +160,6 @@ enum {
   l_tier_read_gap,         // log2 |pg distance| between consecutive remote
                            // chunk placements in one read (seek locality)
   l_tier_last,
-};
-
-struct DedupTierStats {
-  uint64_t writes = 0;
-  uint64_t reads = 0;
-  uint64_t removes = 0;
-  uint64_t prereads = 0;      // foreground RMW fills (inline mode)
-  uint64_t flush_merges = 0;  // background fills of partial dirty chunks
-  uint64_t cached_read_chunks = 0;
-  uint64_t redirected_read_chunks = 0;
-  uint64_t chunks_flushed = 0;    // chunk objects pushed to the chunk pool
-  uint64_t flush_bytes = 0;
-  uint64_t noop_flushes = 0;      // content unchanged; dirty cleared locally
-  uint64_t derefs = 0;
-  uint64_t evictions = 0;
-  uint64_t capacity_evictions = 0;  // LRU cache-cap reclaims (Section 4.3)
-  uint64_t promotions = 0;
-  uint64_t hot_skips = 0;
-  uint64_t racy_flushes = 0;      // object changed mid-flush; stayed dirty
-  uint64_t degraded_pulls = 0;    // objects recovered on-demand by a new
-                                  // primary before serving an op
-  uint64_t orphan_adoptions = 0;  // redo flushes re-based onto the chunk a
-                                  // crashed attempt already put
-  uint64_t engine_ticks = 0;
-  uint64_t engine_aborts = 0;     // injected failures taken
-  uint64_t fingerprint_cache_hits = 0;  // hashes skipped via COW memoization
-  // Two-tier fast path (reported, never digested — see the counter enum).
-  uint64_t weak_hash_hits = 0;
-  uint64_t weak_hash_misses = 0;
-  uint64_t weak_collisions = 0;
-  uint64_t bloom_negative_hits = 0;
-  uint64_t sha_computed = 0;
-  uint64_t sha_avoided = 0;
-  // Fragmentation-aware restore path (reported, never digested except the
-  // rewrite counters under restore_rewrite's own frozen digest).
-  uint64_t read_logical_bytes = 0;
-  uint64_t read_chunk_objects = 0;
-  uint64_t read_chunk_rpcs = 0;
-  uint64_t asm_window_opens = 0;
-  uint64_t asm_hits = 0;
-  uint64_t asm_prefetched_refs = 0;
-  uint64_t asm_wasted_refs = 0;
-  uint64_t rewrite_runs = 0;
-  uint64_t rewrite_chunks = 0;
-  uint64_t rewrite_bytes = 0;
-  // Recipe metadata dedup (only move in recipe mode).
-  uint64_t recipe_chunks = 0;
-  uint64_t recipe_hits = 0;
-  uint64_t meta_txns = 0;
-  uint64_t meta_bytes_baseline = 0;
-  uint64_t meta_bytes_actual = 0;
 };
 
 class DedupTier : public TierService {
@@ -242,12 +193,6 @@ class DedupTier : public TierService {
   }
 
   // --- introspection / test hooks ---
-  // Compatibility view rebuilt from the perf counters on every call.
-  const DedupTierStats& stats() const {
-    refresh_stats_view();
-    return stats_view_;
-  }
-
   obs::PerfCounters& perf() { return *perf_; }
   const obs::PerfCounters& perf() const { return *perf_; }
 
@@ -262,10 +207,12 @@ class DedupTier : public TierService {
   using FailureHook = std::function<bool(FailurePoint, const std::string&)>;
   void set_failure_hook(FailureHook hook) { failure_hook_ = std::move(hook); }
 
-  // Override the weak hash of the fast path — the collision-injection
-  // hook.  A test returning a constant forces every chunk onto one index
-  // key, so distinct contents must survive on byte verification alone.
-  // nullptr restores WeakHasher::oneshot.
+  // Override the weak hash of the fast path — the one test seam of the
+  // fingerprint index.  A hook returning a constant forces every chunk
+  // onto one index key, so distinct contents must survive on byte
+  // verification alone; a hook that never repeats a value makes every
+  // probe miss, so every chunk pays a full SHA.  nullptr restores
+  // WeakHasher::oneshot.
   using WeakHashHook = std::function<uint64_t(const Buffer&)>;
   void set_weak_hash_hook(WeakHashHook hook) {
     weak_hash_hook_ = std::move(hook);
@@ -458,23 +405,17 @@ class DedupTier : public TierService {
 
   bool fail_at(FailurePoint p, const std::string& oid);
 
-  // Fingerprint a chunk's content and deliver the result.  Probes the
-  // COW-aware memoization cache first: a hit skips both the real hash and
-  // the simulated CPU cost (and bumps the fingerprint_cache_hits counter);
-  // a miss computes under the costed CPU model and populates the cache.
-  // With the fast path on, a memo miss probes the node's fingerprint
-  // index by weak hash before falling back to the SHA kernel — the
-  // simulated CPU cost is charged identically either way, so only the
-  // host wall clock (and the never-digested fast-path counters) changes.
+  // Fingerprint a chunk's content under the costed CPU model and deliver
+  // the result.  Probes the node's fingerprint index by weak hash before
+  // falling back to the SHA kernel — the simulated CPU cost is charged
+  // identically either way, so only the host wall clock (and the
+  // never-digested fast-path counters) changes.
   void fingerprint_async(const Buffer& content,
                          std::function<void(const Fingerprint&)> k,
                          obs::OpTraceRef trace = nullptr);
 
   // Node-shared fingerprint index (nullptr context -> private fallback).
   FingerprintIndex* fp_index();
-  uint64_t weak_hash_of(const Buffer& content);
-
-  void refresh_stats_view() const;
 
   Osd* osd_;
   PoolId pool_;
@@ -482,8 +423,6 @@ class DedupTier : public TierService {
   HitSet hitset_;
   RateController rate_;
   obs::PerfCountersRef perf_;
-  mutable DedupTierStats stats_view_;
-  FingerprintCache fp_cache_;
 
   std::unordered_map<std::string, ChunkMap> map_cache_;
   uint64_t dirty_gen_counter_ = 1;

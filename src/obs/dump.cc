@@ -69,41 +69,20 @@ std::string summary_line(Cluster& cluster) {
   };
 
   // Fingerprint fast path, chunk-map metadata traffic, and restore-path
-  // read amplification, summed across entities by name prefix (the
-  // registry is the source of truth).
-  uint64_t sha_computed = 0, sha_avoided = 0, memo_hits = 0;
-  uint64_t meta_read = 0, meta_written = 0;
-  uint64_t meta_baseline = 0, meta_actual = 0;
-  uint64_t recipe_chunks = 0, recipe_hits = 0;
-  uint64_t read_bytes = 0, read_objects = 0, read_rpcs = 0;
-  uint64_t asm_hits = 0, remote_chunks = 0;
-  for (const auto& pc : reg.sorted()) {
-    if (pc->name().rfind("tier.", 0) == 0) {
-      sha_computed += pc->get(l_tier_sha_computed);
-      sha_avoided += pc->get(l_tier_sha_avoided);
-      memo_hits += pc->get(l_tier_fingerprint_cache_hits);
-      read_bytes += pc->get(l_tier_read_logical_bytes);
-      read_objects += pc->get(l_tier_read_chunk_objects);
-      read_rpcs += pc->get(l_tier_read_chunk_rpcs);
-      asm_hits += pc->get(l_tier_asm_hits);
-      remote_chunks += pc->get(l_tier_redirected_read_chunks);
-      meta_baseline += pc->get(l_tier_meta_bytes_baseline);
-      meta_actual += pc->get(l_tier_meta_bytes_actual);
-      recipe_chunks += pc->get(l_tier_recipe_chunks);
-      recipe_hits += pc->get(l_tier_recipe_hits);
-    } else if (pc->name().rfind("osd.", 0) == 0) {
-      meta_read += pc->get(l_osd_meta_bytes_read);
-      meta_written += pc->get(l_osd_meta_bytes_written);
-    }
-  }
-  const uint64_t fp_total = sha_computed + sha_avoided + memo_hits;
+  // read amplification, summed across the cluster's tiers and OSDs.
+  const uint64_t sha_computed = cluster.perf_sum(l_tier_sha_computed);
+  const uint64_t sha_avoided = cluster.perf_sum(l_tier_sha_avoided);
+  const uint64_t meta_read = cluster.perf_sum(l_osd_meta_bytes_read);
+  const uint64_t meta_written = cluster.perf_sum(l_osd_meta_bytes_written);
+  const uint64_t read_bytes = cluster.perf_sum(l_tier_read_logical_bytes);
+  const uint64_t read_objects = cluster.perf_sum(l_tier_read_chunk_objects);
   uint64_t client_bytes = 0;
   for (PoolId pid : cluster.osdmap().pool_ids()) {
     client_bytes += cluster.pool_stats(pid).logical_bytes;
   }
   std::snprintf(buf, sizeof(buf),
                 " sha_avoided=%.3f meta_read_amp=%.4f meta_kb=%llu/%llu",
-                safe_div(sha_avoided + memo_hits, fp_total),
+                safe_div(sha_avoided, sha_computed + sha_avoided),
                 safe_div(meta_read, client_bytes),
                 static_cast<unsigned long long>(meta_read / 1024),
                 static_cast<unsigned long long>(meta_written / 1024));
@@ -112,9 +91,12 @@ std::string summary_line(Cluster& cluster) {
   // stands in for (1.0 = parity; recipe mode drives it up).  recipes:
   // recipe chunks created / deduplicated against an existing one.
   std::snprintf(buf, sizeof(buf), " meta_dedup=%.2f recipes=%llu/%llu",
-                safe_div(meta_baseline, meta_actual),
-                static_cast<unsigned long long>(recipe_chunks),
-                static_cast<unsigned long long>(recipe_hits));
+                safe_div(cluster.perf_sum(l_tier_meta_bytes_baseline),
+                         cluster.perf_sum(l_tier_meta_bytes_actual)),
+                static_cast<unsigned long long>(
+                    cluster.perf_sum(l_tier_recipe_chunks)),
+                static_cast<unsigned long long>(
+                    cluster.perf_sum(l_tier_recipe_hits)));
   out += buf;
   // read_amp: distinct chunk-pool objects touched per logical MB read
   // (Section 3.4's restore-locality figure of merit); asm_hit: fraction
@@ -124,8 +106,10 @@ std::string summary_line(Cluster& cluster) {
                                      (static_cast<double>(read_bytes) /
                                       (1024.0 * 1024.0))
                                : 0.0,
-                safe_div(asm_hits, remote_chunks),
-                static_cast<unsigned long long>(read_rpcs));
+                safe_div(cluster.perf_sum(l_tier_asm_hits),
+                         cluster.perf_sum(l_tier_redirected_read_chunks)),
+                static_cast<unsigned long long>(
+                    cluster.perf_sum(l_tier_read_chunk_rpcs)));
   out += buf;
   auto slow = trk.dump_historic_slow_ops(1);
   if (!slow.empty()) {

@@ -52,36 +52,11 @@ class ClusterContext {
   // exactly the serial path — fixtures without a cluster need no pool.
   virtual ExecPool* exec_pool() { return nullptr; }
 
-  // Two-tier fingerprint fast path (dedup/fingerprint_index.h).  The knob
-  // gates *host-side* work only — SHA invocations actually run and chunk
-  // refcount decode/encode round trips — so the determinism digest is
-  // byte-identical either way; both states stay testable.  Default: the
-  // GDEDUP_FP_FASTPATH environment variable, on unless set to "0".
-  // rados::Cluster overrides with its ClusterConfig knob.
-  static bool env_fp_fastpath() {
-    const char* v = std::getenv("GDEDUP_FP_FASTPATH");
-    return v == nullptr || v[0] == '\0' || v[0] != '0';
-  }
-  virtual bool fp_fastpath() const { return env_fp_fastpath(); }
-
-  // Forward-assembly restore window (dedup/tier.cc handle_read).  Host-side
-  // accounting only: a sequential-read window plans the next chunk refs
-  // and counts the reads it serves (the tier.asm_* counters), but holds no
-  // bytes; every chunk-pool RPC, cpu cost, reply and digested counter is
-  // identical — the determinism digest is byte-identical either way.
-  // Default: the GDEDUP_RESTORE_ASSEMBLY environment variable, on unless
-  // set to "0".  rados::Cluster overrides with its ClusterConfig knob.
-  static bool env_restore_assembly() {
-    const char* v = std::getenv("GDEDUP_RESTORE_ASSEMBLY");
-    return v == nullptr || v[0] == '\0' || v[0] != '0';
-  }
-  virtual bool restore_assembly() const { return env_restore_assembly(); }
-
-  // Recipe-chunk metadata dedup (dedup/recipe.h).  Unlike the two knobs
-  // above this one changes persisted bytes — chunk maps compact into
-  // content-addressed recipe chunks and omap writes batch per flush
-  // cycle — so it carries its own frozen determinism digest (byte-
-  // identical at any shards×threads, but different from default mode).
+  // Recipe-chunk metadata dedup (dedup/recipe.h).  This knob changes
+  // persisted bytes — chunk maps compact into content-addressed recipe
+  // chunks and omap writes batch per flush cycle — so it carries its own
+  // frozen determinism digest (byte-identical at any shards×threads, but
+  // different from default mode).
   // Default: the GDEDUP_RECIPE_DEDUP environment variable, OFF unless
   // set non-empty and not "0".  rados::Cluster overrides with its
   // ClusterConfig knob.

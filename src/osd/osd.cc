@@ -86,24 +86,6 @@ Osd::Osd(ClusterContext* ctx, OsdId id, NodeId node, const SsdConfig& disk_cfg)
   if (auto* reg = ctx_->perf_registry()) reg->add(perf_);
 }
 
-void Osd::refresh_stats_view() const {
-  stats_view_.client_ops = perf_->get(l_osd_client_ops);
-  stats_view_.reads = perf_->get(l_osd_reads);
-  stats_view_.writes = perf_->get(l_osd_writes);
-  stats_view_.sub_writes = perf_->get(l_osd_sub_writes);
-  stats_view_.chunk_puts = perf_->get(l_osd_chunk_puts);
-  stats_view_.chunk_created = perf_->get(l_osd_chunk_created);
-  stats_view_.chunk_dedup_hits = perf_->get(l_osd_chunk_dedup_hits);
-  stats_view_.chunk_derefs = perf_->get(l_osd_chunk_derefs);
-  stats_view_.chunks_reclaimed = perf_->get(l_osd_chunks_reclaimed);
-  stats_view_.pulls = perf_->get(l_osd_pulls);
-  stats_view_.pushes = perf_->get(l_osd_pushes);
-  stats_view_.meta_bytes_read = perf_->get(l_osd_meta_bytes_read);
-  stats_view_.meta_bytes_written = perf_->get(l_osd_meta_bytes_written);
-  stats_view_.refs_decodes = perf_->get(l_osd_refs_decodes);
-  stats_view_.refs_cache_hits = perf_->get(l_osd_refs_cache_hits);
-}
-
 bool Osd::fail_at(OsdFailurePoint p, PoolId pool, const std::string& oid) {
   // Only fault campaigns arm a hook; build its key only then.
   if (!failure_hook_ || !failure_hook_(p, ObjectKey{pool, oid})) return false;
@@ -543,18 +525,15 @@ Status Osd::load_refs(const ObjectKey& key, RefsView* v) {
   if (!raw.is_ok()) return Status::ok();  // no refs recorded yet
   v->raw = std::move(raw).value();
   perf_->inc(l_osd_meta_bytes_read, v->raw.size());
-  const bool fast = ctx_->fp_fastpath();
-  if (fast) {
-    if ((v->cached = refs_cache_.find(key, v->raw)) != nullptr) {
-      perf_->inc(l_osd_refs_cache_hits);
-      return Status::ok();
-    }
+  if ((v->cached = refs_cache_.find(key, v->raw)) != nullptr) {
+    perf_->inc(l_osd_refs_cache_hits);
+    return Status::ok();
   }
   perf_->inc(l_osd_refs_decodes);
   auto dec = decode_refs(v->raw);
   if (!dec.is_ok()) return dec.status();
   v->owned = std::move(dec).value();
-  if (fast) v->cached = refs_cache_.put(key, v->raw, std::move(v->owned));
+  v->cached = refs_cache_.put(key, v->raw, std::move(v->owned));
   return Status::ok();
 }
 
@@ -563,7 +542,7 @@ Buffer Osd::store_refs(const ObjectKey& key, RefsView* v, size_t from) {
   perf_->inc(l_osd_meta_bytes_written, enc.size());
   if (v->cached != nullptr) {
     refs_cache_.rebind(key, enc);
-  } else if (ctx_->fp_fastpath()) {
+  } else {
     v->cached = refs_cache_.put(key, enc, std::move(v->owned));
   }
   return enc;

@@ -74,9 +74,9 @@ const char* osd_failure_point_name(OsdFailurePoint p);
 using OsdFailureHook =
     std::function<bool(OsdFailurePoint, const ObjectKey& key)>;
 
-// Perf-counter indices for one OSD (registry entity "osd.<id>").  The
-// counters are the source of truth; OsdStats below is a compatibility
-// view rebuilt from them on demand.
+// Perf-counter indices for one OSD (registry entity "osd.<id>").  Callers
+// read them through perf(), or summed across the cluster through
+// Cluster::perf_sum.
 enum {
   l_osd_first = 1000,
   l_osd_client_ops,
@@ -96,35 +96,13 @@ enum {
   l_osd_crc_verifies,         // exec-pool payload CRC cross-checks run
   l_osd_crc_verify_failures,  // dedup-hit payload mismatched stored chunk
   // Chunk-map metadata accounting (osd/refs_cache.h).  meta_bytes_* count
-  // the refs-xattr traffic identically with the fast path on or off; the
-  // cache counters measure decodes actually skipped.  Host-side only —
-  // never part of the determinism digest.
+  // the refs-xattr traffic; the cache counters measure decodes actually
+  // skipped.  Host-side only — never part of the determinism digest.
   l_osd_meta_bytes_read,      // refs xattr bytes read (incl. peer union)
   l_osd_meta_bytes_written,   // refs xattr bytes encoded + written
   l_osd_refs_decodes,         // full reference-list decodes performed
   l_osd_refs_cache_hits,      // decodes skipped via identity-validated hit
   l_osd_last,
-};
-
-// Legacy aggregate view of the OSD perf counters.  Kept because a pile of
-// tests and harnesses read these fields; Osd::stats() refreshes one from
-// the registry-backed counters.
-struct OsdStats {
-  uint64_t client_ops = 0;
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t sub_writes = 0;
-  uint64_t chunk_puts = 0;
-  uint64_t chunk_created = 0;      // new chunk objects stored
-  uint64_t chunk_dedup_hits = 0;   // puts satisfied by an existing chunk
-  uint64_t chunk_derefs = 0;
-  uint64_t chunks_reclaimed = 0;   // refcount hit zero
-  uint64_t pulls = 0;
-  uint64_t pushes = 0;
-  uint64_t meta_bytes_read = 0;
-  uint64_t meta_bytes_written = 0;
-  uint64_t refs_decodes = 0;
-  uint64_t refs_cache_hits = 0;
 };
 
 class Osd {
@@ -167,19 +145,6 @@ class Osd {
   const ObjectStore* store_if_exists(PoolId pool) const;
 
   SsdModel& disk() { return disk_; }
-
-  // Compatibility accessors: rebuild the legacy struct from the perf
-  // counters.  Reads through the returned reference are always current;
-  // writes would be lost (no caller writes — they all go through the
-  // counters now).
-  OsdStats& stats() {
-    refresh_stats_view();
-    return stats_view_;
-  }
-  const OsdStats& stats() const {
-    refresh_stats_view();
-    return stats_view_;
-  }
 
   obs::PerfCounters& perf() { return *perf_; }
   const obs::PerfCounters& perf() const { return *perf_; }
@@ -251,9 +216,8 @@ class Osd {
     std::vector<ChunkRef> owned;
     std::vector<ChunkRef>& refs() { return cached ? *cached : owned; }
   };
-  // Read the chunk's refs xattr and resolve its list: a cache hit when the
-  // fast path is on, else one decode (cached when the fast path is on).
-  // Metadata read bytes are accounted identically in both modes.
+  // Read the chunk's refs xattr and resolve its list: a cache hit, else
+  // one decode that the cache then keeps.  Accounts the metadata read.
   Status load_refs(const ObjectKey& key, RefsView* v);
   // Encode the edited list for setxattr, given that its first `from`
   // entries are still the ones `v->raw` encodes: the records after them
@@ -335,8 +299,6 @@ class Osd {
   void local_apply(PoolId pool, std::shared_ptr<const Transaction> txn,
                    Done done);
 
-  void refresh_stats_view() const;
-
   ClusterContext* ctx_;
   OsdId id_;
   NodeId node_;
@@ -353,12 +315,10 @@ class Osd {
   std::map<PoolId, std::unique_ptr<TierService>> tiers_;
   OpQueue chunk_op_queue_;
   OpQueue ec_write_queue_;
-  // Decoded refs-xattr cache, consulted only when ctx_->fp_fastpath().
-  // Identity validation makes stale entries self-healing, so crash resets
-  // (reset_volatile) need not touch it.
+  // Decoded refs-xattr cache.  Identity validation makes stale entries
+  // self-healing, so crash resets (reset_volatile) need not touch it.
   RefsCache refs_cache_;
   obs::PerfCountersRef perf_;
-  mutable OsdStats stats_view_;
   OsdFailureHook failure_hook_;
   uint64_t injected_crashes_ = 0;
   SlidingWindowCounter fg_window_{kSecond};

@@ -18,11 +18,6 @@ Cluster::Cluster(ClusterConfig cfg)
       op_tracker_(obs::OpTracker::resolve_historic_cap(cfg.ops_history),
                   obs::OpTracker::resolve_slow_cap(cfg.ops_slow_board)),
       net_(&sched_, cfg.storage_nodes + cfg.client_nodes, cfg.net),
-      fp_fastpath_(cfg.fp_fastpath < 0 ? ClusterContext::env_fp_fastpath()
-                                       : cfg.fp_fastpath != 0),
-      restore_assembly_(cfg.restore_assembly < 0
-                            ? ClusterContext::env_restore_assembly()
-                            : cfg.restore_assembly != 0),
       recipe_dedup_(cfg.recipe_dedup < 0 ? ClusterContext::env_recipe_dedup()
                                          : cfg.recipe_dedup != 0) {
   // Storage nodes spread round-robin over shards; client nodes pin to
@@ -157,54 +152,24 @@ DedupTier* Cluster::tier_of(OsdId osd_id, PoolId metadata_pool) {
   return static_cast<DedupTier*>(o->tier(metadata_pool));
 }
 
-DedupTierStats Cluster::tier_stats(PoolId metadata_pool) {
-  DedupTierStats agg;
-  for (auto& o : osds_) {
-    auto* t = static_cast<DedupTier*>(o->tier(metadata_pool));
-    if (t == nullptr) continue;
-    const DedupTierStats& s = t->stats();
-    agg.writes += s.writes;
-    agg.reads += s.reads;
-    agg.removes += s.removes;
-    agg.prereads += s.prereads;
-    agg.flush_merges += s.flush_merges;
-    agg.cached_read_chunks += s.cached_read_chunks;
-    agg.redirected_read_chunks += s.redirected_read_chunks;
-    agg.chunks_flushed += s.chunks_flushed;
-    agg.flush_bytes += s.flush_bytes;
-    agg.noop_flushes += s.noop_flushes;
-    agg.derefs += s.derefs;
-    agg.evictions += s.evictions;
-    agg.capacity_evictions += s.capacity_evictions;
-    agg.promotions += s.promotions;
-    agg.hot_skips += s.hot_skips;
-    agg.racy_flushes += s.racy_flushes;
-    agg.engine_ticks += s.engine_ticks;
-    agg.engine_aborts += s.engine_aborts;
-    agg.fingerprint_cache_hits += s.fingerprint_cache_hits;
-    agg.weak_hash_hits += s.weak_hash_hits;
-    agg.weak_hash_misses += s.weak_hash_misses;
-    agg.weak_collisions += s.weak_collisions;
-    agg.bloom_negative_hits += s.bloom_negative_hits;
-    agg.sha_computed += s.sha_computed;
-    agg.sha_avoided += s.sha_avoided;
-    agg.read_logical_bytes += s.read_logical_bytes;
-    agg.read_chunk_objects += s.read_chunk_objects;
-    agg.read_chunk_rpcs += s.read_chunk_rpcs;
-    agg.asm_window_opens += s.asm_window_opens;
-    agg.asm_hits += s.asm_hits;
-    agg.asm_prefetched_refs += s.asm_prefetched_refs;
-    agg.asm_wasted_refs += s.asm_wasted_refs;
-    agg.rewrite_runs += s.rewrite_runs;
-    agg.rewrite_chunks += s.rewrite_chunks;
-    agg.rewrite_bytes += s.rewrite_bytes;
-    agg.recipe_chunks += s.recipe_chunks;
-    agg.recipe_hits += s.recipe_hits;
-    agg.meta_txns += s.meta_txns;
-    agg.meta_bytes_baseline += s.meta_bytes_baseline;
-    agg.meta_bytes_actual += s.meta_bytes_actual;
+uint64_t Cluster::perf_sum(int idx, PoolId metadata_pool) {
+  uint64_t sum = 0;
+  if (idx > l_osd_first && idx < l_osd_last) {
+    for (auto& o : osds_) sum += o->perf().get(idx);
+    return sum;
   }
-  return agg;
+  assert(idx > l_tier_first && idx < l_tier_last);
+  const std::vector<PoolId> pools = metadata_pool >= 0
+                                        ? std::vector<PoolId>{metadata_pool}
+                                        : osdmap_.pool_ids();
+  for (auto& o : osds_) {
+    for (PoolId p : pools) {
+      if (auto* t = static_cast<DedupTier*>(o->tier(p))) {
+        sum += t->perf().get(idx);
+      }
+    }
+  }
+  return sum;
 }
 
 OsdId Cluster::add_osd(NodeId host, double weight) {
@@ -693,30 +658,19 @@ void Cluster::sync_pool_counters() {
 }
 
 void Cluster::sync_derived_counters() {
-  // The same prefix sums obs::summary_line prints, promoted to gauges so
-  // the telemetry sampler and the JSON dump see them as first-class
-  // series.  Gauges are int64, hence the fixed-point units.
-  uint64_t sha_computed = 0, sha_avoided = 0, memo_hits = 0;
-  uint64_t meta_read = 0;
-  uint64_t meta_baseline = 0, meta_actual = 0;
-  uint64_t read_bytes = 0, read_objects = 0, read_rpcs = 0;
-  uint64_t asm_hits = 0, remote_chunks = 0;
-  for (const auto& pc : perf_registry_.sorted()) {
-    if (pc->name().rfind("tier.", 0) == 0) {
-      sha_computed += pc->get(l_tier_sha_computed);
-      sha_avoided += pc->get(l_tier_sha_avoided);
-      memo_hits += pc->get(l_tier_fingerprint_cache_hits);
-      read_bytes += pc->get(l_tier_read_logical_bytes);
-      read_objects += pc->get(l_tier_read_chunk_objects);
-      read_rpcs += pc->get(l_tier_read_chunk_rpcs);
-      asm_hits += pc->get(l_tier_asm_hits);
-      remote_chunks += pc->get(l_tier_redirected_read_chunks);
-      meta_baseline += pc->get(l_tier_meta_bytes_baseline);
-      meta_actual += pc->get(l_tier_meta_bytes_actual);
-    } else if (pc->name().rfind("osd.", 0) == 0) {
-      meta_read += pc->get(l_osd_meta_bytes_read);
-    }
-  }
+  // The same sums obs::summary_line prints, promoted to gauges so the
+  // telemetry sampler and the JSON dump see them as first-class series.
+  // Gauges are int64, hence the fixed-point units.
+  const uint64_t sha_computed = perf_sum(l_tier_sha_computed);
+  const uint64_t sha_avoided = perf_sum(l_tier_sha_avoided);
+  const uint64_t read_bytes = perf_sum(l_tier_read_logical_bytes);
+  const uint64_t read_objects = perf_sum(l_tier_read_chunk_objects);
+  const uint64_t remote_chunks = perf_sum(l_tier_redirected_read_chunks);
+  const uint64_t meta_baseline = perf_sum(l_tier_meta_bytes_baseline);
+  const uint64_t meta_actual = perf_sum(l_tier_meta_bytes_actual);
+  const uint64_t read_rpcs = perf_sum(l_tier_read_chunk_rpcs);
+  const uint64_t asm_hits = perf_sum(l_tier_asm_hits);
+  const uint64_t meta_read = perf_sum(l_osd_meta_bytes_read);
   uint64_t logical = 0, physical = 0;
   for (PoolId pid : osdmap_.pool_ids()) {
     const ObjectStore::Stats st = pool_stats(pid);
@@ -741,9 +695,8 @@ void Cluster::sync_derived_counters() {
   derived_pc_->set_gauge(l_derived_read_rpcs,
                          static_cast<int64_t>(read_rpcs));
   derived_pc_->set_gauge(l_derived_asm_hit_ppm, ppm(asm_hits, remote_chunks));
-  derived_pc_->set_gauge(
-      l_derived_sha_avoided_ppm,
-      ppm(sha_avoided + memo_hits, sha_computed + sha_avoided + memo_hits));
+  derived_pc_->set_gauge(l_derived_sha_avoided_ppm,
+                         ppm(sha_avoided, sha_computed + sha_avoided));
   derived_pc_->set_gauge(l_derived_meta_read_amp_ppm, ppm(meta_read, logical));
   // How many bytes of fixed-format metadata one actually-written byte
   // stands in for (1e6 = parity; recipe mode pushes this well above 1e6).

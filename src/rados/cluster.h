@@ -46,16 +46,6 @@ struct ClusterConfig {
   // actually run on worker threads is a separate switch
   // (GDEDUP_SIM_PARALLEL / Scheduler::set_parallel).
   int sim_shards = 0;
-  // Two-tier fingerprint fast path + chunk-refs metadata cache.  -1 =
-  // take GDEDUP_FP_FASTPATH from the environment (default on), 0 = off,
-  // 1 = on.  Either state produces the same determinism digest — the
-  // fast path avoids host-side SHA invocations and refs-xattr decode
-  // round trips, never virtual-time observables.
-  int fp_fastpath = -1;
-  // Forward-assembly restore cache: -1 = take GDEDUP_RESTORE_ASSEMBLY
-  // from the environment (default on), 0 = off, 1 = on.  Host-side only,
-  // digest-identical either way (see ClusterContext::restore_assembly).
-  int restore_assembly = -1;
   // Recipe-chunk metadata dedup + batched omap write path: -1 = take
   // GDEDUP_RECIPE_DEDUP from the environment (default OFF), 0 = off,
   // 1 = on.  Changes on-disk omap layout and chunk-pool traffic, so the
@@ -137,8 +127,6 @@ class Cluster : public ClusterContext {
   obs::PerfRegistry* perf_registry() override { return &perf_registry_; }
   obs::OpTracker* op_tracker() override { return &op_tracker_; }
   ExecPool* exec_pool() override { return &exec_pool_; }
-  bool fp_fastpath() const override { return fp_fastpath_; }
-  bool restore_assembly() const override { return restore_assembly_; }
   bool recipe_dedup() const override { return recipe_dedup_; }
   FingerprintIndex* fp_index(NodeId node) override;
 
@@ -166,8 +154,10 @@ class Cluster : public ClusterContext {
 
   DedupTier* tier_of(OsdId osd, PoolId metadata_pool);
 
-  // Aggregate tier stats across all OSDs for a dedup pool.
-  DedupTierStats tier_stats(PoolId metadata_pool);
+  // Sum of one perf counter across the cluster: an l_tier_* index sums
+  // the dedup tiers (only those of `metadata_pool` when it is >= 0), an
+  // l_osd_* index sums the OSDs.
+  uint64_t perf_sum(int idx, PoolId metadata_pool = -1);
 
   // --- expansion / rebalancing ---
   // Add a fresh OSD to an existing storage node at runtime.  Placement
@@ -232,11 +222,9 @@ class Cluster : public ClusterContext {
   std::vector<std::unique_ptr<CpuModel>> node_cpus_;
   std::vector<std::unique_ptr<Osd>> osds_;
   std::map<OsdId, NodeId> osd_node_;
+  bool recipe_dedup_;
   // One fingerprint index per storage node, shared by that node's tiers
   // (thread-confined to the node's engine shard; see fingerprint_index.h).
-  bool fp_fastpath_;
-  bool restore_assembly_;
-  bool recipe_dedup_;
   std::vector<std::unique_ptr<FingerprintIndex>> node_fp_indexes_;
 };
 

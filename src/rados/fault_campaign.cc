@@ -443,8 +443,7 @@ class ScheduleRunner {
   }
 
   void finish() {
-    const DedupTierStats ts = cluster_->tier_stats(meta_);
-    res_.engine_aborts = ts.engine_aborts;
+    res_.engine_aborts = cluster_->perf_sum(l_tier_engine_aborts, meta_);
     for (Osd* o : cluster_->osds()) {
       res_.injected_osd_crashes += o->injected_crashes();
     }

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dedup/fingerprint_cache.h"
 #include "test_util.h"
 #include "workload/content.h"
 
@@ -162,51 +161,32 @@ TEST(DedupTier, RewriteSameContentIsNoopFlush) {
   Buffer data = random_buffer(kChunk, 10);
   ASSERT_TRUE(h.write("obj", 0, data).is_ok());
   ASSERT_TRUE(h.drain());
-  const auto stats1 = h.cluster->tier_stats(h.meta);
+  const uint64_t flushed1 =
+      h.cluster->perf_sum(l_tier_chunks_flushed, h.meta);
+  const uint64_t noops1 = h.cluster->perf_sum(l_tier_noop_flushes, h.meta);
   ASSERT_TRUE(h.write("obj", 0, data).is_ok());  // identical rewrite
   ASSERT_TRUE(h.drain());
-  const auto stats2 = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(stats2.chunks_flushed, stats1.chunks_flushed);  // no new put
-  EXPECT_GT(stats2.noop_flushes, stats1.noop_flushes);
+  // No new put.
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_chunks_flushed, h.meta), flushed1);
+  EXPECT_GT(h.cluster->perf_sum(l_tier_noop_flushes, h.meta), noops1);
   EXPECT_TRUE(h.refcounts_consistent());
 }
 
-TEST(DedupTier, NoopReflushHitsFingerprintCache) {
-  // Re-flushing unchanged content must not pay for rehashing: the write
-  // stores the client's Buffer by value and the flush read returns a
-  // zero-copy slice of it, so the memoization key (storage identity +
-  // generation) survives the round trip and the second flush hits.
+TEST(DedupTier, NoopReflushAvoidsSha) {
+  // Re-flushing unchanged content must not pay for rehashing: the first
+  // flush left the chunk in the node's fingerprint index, so the second
+  // flush's weak-hash probe verifies the bytes and skips the SHA.
   DedupHarness h(test_tier_config());
   Buffer data = random_buffer(kChunk, 10);
   ASSERT_TRUE(h.write("obj", 0, data).is_ok());
   ASSERT_TRUE(h.drain());
-  const auto stats1 = h.cluster->tier_stats(h.meta);
+  const uint64_t computed1 = h.cluster->perf_sum(l_tier_sha_computed, h.meta);
+  const uint64_t avoided1 = h.cluster->perf_sum(l_tier_sha_avoided, h.meta);
   ASSERT_TRUE(h.write("obj", 0, data).is_ok());
   ASSERT_TRUE(h.drain());
-  const auto stats2 = h.cluster->tier_stats(h.meta);
-  EXPECT_GT(stats2.fingerprint_cache_hits, stats1.fingerprint_cache_hits);
+  EXPECT_GT(h.cluster->perf_sum(l_tier_sha_avoided, h.meta), avoided1);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_sha_computed, h.meta), computed1);
   EXPECT_TRUE(h.refcounts_consistent());
-}
-
-TEST(FingerprintCache, SameStorageHitsMutationMisses) {
-  FingerprintCache cache;
-  Buffer b = random_buffer(4096, 77);
-  EXPECT_EQ(cache.find(b, FingerprintAlgo::kSha256), nullptr);
-  const Fingerprint fp =
-      Fingerprint::compute(FingerprintAlgo::kSha256, b.span());
-  cache.insert(b, FingerprintAlgo::kSha256, fp);
-  const FingerprintCache::Entry* hit = cache.find(b, FingerprintAlgo::kSha256);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->fp, fp);
-  Buffer copy = b;  // shares storage and generation
-  EXPECT_NE(cache.find(copy, FingerprintAlgo::kSha256), nullptr);
-  // The algorithm is part of the key.
-  EXPECT_EQ(cache.find(b, FingerprintAlgo::kSha1), nullptr);
-  // Mutation bumps the generation, so the stale digest can't come back.
-  b.mutable_data()[0] ^= 1;
-  EXPECT_EQ(cache.find(b, FingerprintAlgo::kSha256), nullptr);
-  EXPECT_EQ(cache.lookups(), 5u);
-  EXPECT_EQ(cache.hits(), 2u);
 }
 
 TEST(DedupTier, PartialWriteAfterEvictionMergesInBackground) {
@@ -219,10 +199,11 @@ TEST(DedupTier, PartialWriteAfterEvictionMergesInBackground) {
   // entry goes to Figure 8's cached=false/dirty=true state); the missing
   // half is merged from the chunk pool by the background flush.
   Buffer patch = random_buffer(16 * 1024, 12);
-  const auto before = h.cluster->tier_stats(h.meta);
+  const uint64_t prereads = h.cluster->perf_sum(l_tier_prereads, h.meta);
+  const uint64_t merges = h.cluster->perf_sum(l_tier_flush_merges, h.meta);
   ASSERT_TRUE(h.write("obj", 0, patch).is_ok());
-  const auto after = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(after.prereads, before.prereads);  // foreground stayed clean
+  // The foreground stayed clean.
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_prereads, h.meta), prereads);
 
   const OsdId primary = h.cluster->osdmap().primary(h.meta, "obj");
   {
@@ -241,8 +222,7 @@ TEST(DedupTier, PartialWriteAfterEvictionMergesInBackground) {
   EXPECT_TRUE(r->content_equals(expect));
 
   ASSERT_TRUE(h.drain());
-  const auto drained = h.cluster->tier_stats(h.meta);
-  EXPECT_GT(drained.flush_merges, before.flush_merges);
+  EXPECT_GT(h.cluster->perf_sum(l_tier_flush_merges, h.meta), merges);
   r = h.read("obj", 0, 0);
   ASSERT_TRUE(r.is_ok());
   EXPECT_TRUE(r->content_equals(expect));
@@ -253,27 +233,27 @@ TEST(DedupTier, FullChunkOverwriteSkipsPreread) {
   DedupHarness h(test_tier_config());
   ASSERT_TRUE(h.write("obj", 0, random_buffer(kChunk, 13)).is_ok());
   ASSERT_TRUE(h.drain());
-  const auto before = h.cluster->tier_stats(h.meta);
+  const uint64_t prereads = h.cluster->perf_sum(l_tier_prereads, h.meta);
   ASSERT_TRUE(h.write("obj", 0, random_buffer(kChunk, 14)).is_ok());
-  const auto after = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(after.prereads, before.prereads);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_prereads, h.meta), prereads);
 }
 
 TEST(DedupTier, ReadRedirectionCountsChunks) {
   DedupHarness h(test_tier_config());
   Buffer data = random_buffer(4 * kChunk, 15);
   ASSERT_TRUE(h.write("obj", 0, data).is_ok());
-  const auto cached = h.cluster->tier_stats(h.meta);
+  const uint64_t cached =
+      h.cluster->perf_sum(l_tier_cached_read_chunks, h.meta);
   ASSERT_TRUE(h.read("obj", 0, 0).is_ok());
-  const auto after_cached_read = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(after_cached_read.cached_read_chunks - cached.cached_read_chunks,
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_cached_read_chunks, h.meta) - cached,
             4u);
+  const uint64_t remote =
+      h.cluster->perf_sum(l_tier_redirected_read_chunks, h.meta);
   ASSERT_TRUE(h.drain());
   ASSERT_TRUE(h.read("obj", 0, 0).is_ok());
-  const auto after_remote_read = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(after_remote_read.redirected_read_chunks -
-                after_cached_read.redirected_read_chunks,
-            4u);
+  EXPECT_EQ(
+      h.cluster->perf_sum(l_tier_redirected_read_chunks, h.meta) - remote,
+      4u);
 }
 
 TEST(DedupTier, RedirectedReadIsSlowerThanCached) {
@@ -327,7 +307,7 @@ TEST(DedupTier, HotObjectNotDeduplicated) {
   ASSERT_GT(cm->size(), 0u);
   EXPECT_TRUE(cm->find(0)->dirty);
   EXPECT_TRUE(cm->find(0)->cached);
-  EXPECT_GT(h.cluster->tier_stats(h.meta).hot_skips, 0u);
+  EXPECT_GT(h.cluster->perf_sum(l_tier_hot_skips, h.meta), 0u);
 }
 
 TEST(DedupTier, HotObjectFlushedAfterCooling) {
@@ -362,7 +342,7 @@ TEST(DedupTier, PromoteOnHotRead) {
   // Repeated reads heat the object; promotion caches it again.
   for (int i = 0; i < 3; i++) ASSERT_TRUE(h.read("obj", 0, 0).is_ok());
   h.cluster->sched().run_for(sec(2));
-  EXPECT_GT(h.cluster->tier_stats(h.meta).promotions, 0u);
+  EXPECT_GT(h.cluster->perf_sum(l_tier_promotions, h.meta), 0u);
   const OsdId primary = h.cluster->osdmap().primary(h.meta, "obj");
   ChunkMap cm0 = testutil::load_map_at(*h.cluster, primary, h.meta, "obj");
   auto* cm = &cm0;
@@ -463,13 +443,12 @@ TEST(DedupTier, InlinePartialWritePaysRmw) {
   ASSERT_TRUE(h.write("obj", 0, random_buffer(kChunk, 28)).is_ok());
 
   // The Figure 5(a) pathology: 16KB write into a 32KB chunk.
-  const auto before = h.cluster->tier_stats(h.meta);
+  const uint64_t prereads = h.cluster->perf_sum(l_tier_prereads, h.meta);
   const SimTime t0 = h.cluster->sched().now();
   Buffer patch = random_buffer(16 * 1024, 29);
   ASSERT_TRUE(h.write("obj", 16 * 1024, patch).is_ok());
   const SimTime inline_lat = h.cluster->sched().now() - t0;
-  const auto after = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(after.prereads, before.prereads + 1);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_prereads, h.meta), prereads + 1);
 
   // Same pattern under post-processing: far cheaper foreground latency.
   auto pp = test_tier_config();
@@ -545,8 +524,8 @@ TEST(DedupTier, ManyObjectsManyChunksStress) {
   // Only 8 distinct chunk contents were used, so cross-object dedup is
   // heavy: at most 8 chunk objects despite dozens of logical chunks.
   EXPECT_LE(h.chunk_object_count(), 8u);
-  const auto ts = h.cluster->tier_stats(h.meta);
-  EXPECT_GT(ts.chunks_flushed, h.chunk_object_count());
+  EXPECT_GT(h.cluster->perf_sum(l_tier_chunks_flushed, h.meta),
+            h.chunk_object_count());
 }
 
 }  // namespace

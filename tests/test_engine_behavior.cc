@@ -24,7 +24,7 @@ TEST(Engine, StoppedEngineNeverFlushes) {
   }
   ASSERT_TRUE(h.write("obj", 0, random_buffer(2 * kChunk, 1)).is_ok());
   h.cluster->sched().run_for(sec(5));
-  EXPECT_EQ(h.cluster->tier_stats(h.meta).chunks_flushed, 0u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_chunks_flushed, h.meta), 0u);
   EXPECT_EQ(h.chunk_object_count(), 0u);
 
   // Restart: the backlog drains.
@@ -43,7 +43,7 @@ TEST(Engine, KickRunsImmediately) {
   const OsdId primary = h.cluster->osdmap().primary(h.meta, "obj");
   h.cluster->tier_of(primary, h.meta)->kick();
   h.cluster->sched().run_for(sec(1));
-  EXPECT_EQ(h.cluster->tier_stats(h.meta).chunks_flushed, 1u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_chunks_flushed, h.meta), 1u);
 }
 
 TEST(Engine, RateControlThrottlesOnBusyOsd) {
@@ -71,15 +71,14 @@ TEST(Engine, RateControlThrottlesOnBusyOsd) {
     });
   }
   h.cluster->sched().run_for(sec(2));
-  const auto mid = h.cluster->tier_stats(h.meta);
   // Under ~2000 IOPS (above high watermark), at most fg/500 + slack dedup
   // ops may have run.
-  EXPECT_LE(mid.chunks_flushed, 4000 / 500 + 4);
+  EXPECT_LE(h.cluster->perf_sum(l_tier_chunks_flushed, h.meta), 4000 / 500 + 4);
 
   // Load stops; the engine catches up.
   while (outstanding > 0) ASSERT_TRUE(h.cluster->sched().step());
   ASSERT_TRUE(h.drain());
-  EXPECT_EQ(h.cluster->tier_stats(h.meta).chunks_flushed, 8u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_chunks_flushed, h.meta), 8u);
   (void)primary;
 }
 
@@ -184,8 +183,7 @@ TEST(Engine, LruCacheCapacityEvictsColdest) {
   ASSERT_TRUE(h.drain());
   h.cluster->sched().run_for(sec(1));  // ticks enforce the cap
 
-  const auto ts = h.cluster->tier_stats(h.meta);
-  EXPECT_GT(ts.capacity_evictions, 0u);
+  EXPECT_GT(h.cluster->perf_sum(l_tier_capacity_evictions, h.meta), 0u);
   // Per-tier cap of one chunk: at most 16 cached chunks remain (x2
   // replicas) of the 24 written.
   const auto ms = h.cluster->pool_stats(h.meta);
@@ -211,7 +209,7 @@ TEST(Engine, CacheCapUnlimitedByDefault) {
   }
   ASSERT_TRUE(h.drain());
   h.cluster->sched().run_for(sec(1));
-  EXPECT_EQ(h.cluster->tier_stats(h.meta).capacity_evictions, 0u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_capacity_evictions, h.meta), 0u);
   // All chunks still cached (flush kept them, no cap).
   const auto ms = h.cluster->pool_stats(h.meta);
   EXPECT_EQ(ms.stored_data_bytes, 2u * 6 * kChunk);

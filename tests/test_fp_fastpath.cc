@@ -6,13 +6,12 @@
 // (golden vectors + incremental-vs-oneshot); the index never returns a
 // wrong fingerprint, even under forced weak-hash collisions — byte
 // verification is the only authority; and the fast path is host-side
-// only: the determinism digest is byte-identical with GDEDUP_FP_FASTPATH
-// on or off, at any shard/thread count, across replicated, EC and
-// crash-schedule workloads.
+// only: the determinism digest is byte-identical whether the index hits
+// or a weak hash that never repeats makes every probe miss, at any
+// shard/thread count, on replicated and EC pools.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "dedup/invariants.h"
 #include "hash/weak_hash.h"
 #include "osd/refs_cache.h"
-#include "rados/fault_campaign.h"
 #include "reference_impls.h"
 #include "sim_e2e_scenario.h"
 #include "test_util.h"
@@ -394,19 +392,13 @@ TEST(RefsCache, InPlaceEditRebindsToNewBytes) {
 
 // --- The tier fast path end to end (DedupHarness) ---
 
-ClusterConfig fastpath_cluster_config(int fp_fastpath) {
-  ClusterConfig ccfg = small_cluster_config();
-  ccfg.fp_fastpath = fp_fastpath;  // explicit: don't inherit the env
-  return ccfg;
-}
-
 TEST(RefsCache, PutAfterCrashedRefWriteDecodesAndConserves) {
   // A chunk-pool OSD dies at kBeforeChunkRefWrite, so that put's refs
   // update never lands; the flush re-routes to the surviving holder.
   // After the restart, recovery installs the survivor's refs xattr, so the
   // next put on the chunk must miss the cache, decode the stored bytes,
   // and leave refcount conservation clean.
-  ClusterConfig ccfg = fastpath_cluster_config(1);
+  ClusterConfig ccfg = small_cluster_config();
   ccfg.op_timeout = msec(200);  // the crashed put must not hang its flush
   DedupHarness h(test_tier_config(), ccfg);
   const Buffer piece = random_buffer(kChunk, 91);
@@ -462,26 +454,27 @@ TEST(RefsCache, PutAfterCrashedRefWriteDecodesAndConserves) {
 }
 
 TEST(FpFastpathTier, WeakHitAvoidsSha) {
-  DedupHarness h(test_tier_config(), fastpath_cluster_config(1));
+  DedupHarness h(test_tier_config());
+  auto tier = [&h](int idx) { return h.cluster->perf_sum(idx, h.meta); };
   Buffer piece = random_buffer(kChunk, 42);
 
   // First flush of this content: full SHA, index learns it.
   ASSERT_TRUE(h.write("obj", 0, piece).is_ok());
   ASSERT_TRUE(h.drain());
-  const DedupTierStats s0 = h.cluster->tier_stats(h.meta);
-  EXPECT_GE(s0.sha_computed, 1u);
-  EXPECT_EQ(s0.sha_avoided, 0u);
+  const uint64_t computed0 = tier(l_tier_sha_computed);
+  const uint64_t weak_hits0 = tier(l_tier_weak_hash_hits);
+  EXPECT_GE(computed0, 1u);
+  EXPECT_EQ(tier(l_tier_sha_avoided), 0u);
 
   // Same bytes in a *fresh* buffer at the next chunk slot of the same
-  // object (same primary, same node index; new identity defeats the COW
-  // memo).  The weak probe must find the candidate and skip the SHA.
+  // object (same primary, same node index).  The weak probe must find the
+  // candidate and skip the SHA.
   Buffer again = random_buffer(kChunk, 42);
   ASSERT_TRUE(h.write("obj", kChunk, again).is_ok());
   ASSERT_TRUE(h.drain());
-  const DedupTierStats s1 = h.cluster->tier_stats(h.meta);
-  EXPECT_GE(s1.weak_hash_hits, s0.weak_hash_hits + 1);
-  EXPECT_GE(s1.sha_avoided, 1u);
-  EXPECT_EQ(s1.sha_computed, s0.sha_computed);  // no new SHA needed
+  EXPECT_GE(tier(l_tier_weak_hash_hits), weak_hits0 + 1);
+  EXPECT_GE(tier(l_tier_sha_avoided), 1u);
+  EXPECT_EQ(tier(l_tier_sha_computed), computed0);  // no new SHA needed
 
   // The avoided SHA changed nothing observable: one chunk object, two
   // refs, correct read-back.
@@ -497,7 +490,7 @@ TEST(FpFastpathTier, ForcedCollisionFallsBackToSha) {
   // Collision injection: a constant weak hash forces every chunk onto one
   // index key, so distinct contents must survive on byte verification
   // alone — the index may never dedup two different chunks.
-  DedupHarness h(test_tier_config(), fastpath_cluster_config(1));
+  DedupHarness h(test_tier_config());
   for (Osd* o : h.cluster->osds()) {
     if (DedupTier* t = h.cluster->tier_of(o->id(), h.meta)) {
       t->set_weak_hash_hook([](const Buffer&) { return uint64_t{42}; });
@@ -511,10 +504,10 @@ TEST(FpFastpathTier, ForcedCollisionFallsBackToSha) {
   ASSERT_TRUE(h.write("obj", kChunk, b).is_ok());
   ASSERT_TRUE(h.drain());
 
-  const DedupTierStats s = h.cluster->tier_stats(h.meta);
-  EXPECT_GE(s.weak_collisions, 1u);
-  EXPECT_EQ(s.sha_avoided, 0u);  // verification rejected every candidate
-  EXPECT_GE(s.sha_computed, 2u);
+  EXPECT_GE(h.cluster->perf_sum(l_tier_weak_collisions, h.meta), 1u);
+  // Verification rejected every candidate.
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_sha_avoided, h.meta), 0u);
+  EXPECT_GE(h.cluster->perf_sum(l_tier_sha_computed, h.meta), 2u);
 
   // Two distinct chunk objects despite the identical weak hash.
   EXPECT_EQ(h.chunk_object_count(), 2u);
@@ -535,27 +528,6 @@ TEST(FpFastpathTier, ForcedCollisionFallsBackToSha) {
   EXPECT_TRUE(h.refcounts_consistent());
 }
 
-TEST(FpFastpathTier, OffModeNeverProbes) {
-  DedupHarness h(test_tier_config(), fastpath_cluster_config(0));
-  Buffer piece = random_buffer(kChunk, 60);
-  ASSERT_TRUE(h.write("obj", 0, piece).is_ok());
-  ASSERT_TRUE(h.drain());
-  Buffer again = random_buffer(kChunk, 60);
-  ASSERT_TRUE(h.write("obj", kChunk, again).is_ok());
-  ASSERT_TRUE(h.drain());
-
-  const DedupTierStats s = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(s.weak_hash_hits, 0u);
-  EXPECT_EQ(s.weak_hash_misses, 0u);
-  EXPECT_EQ(s.weak_collisions, 0u);
-  EXPECT_EQ(s.bloom_negative_hits, 0u);
-  EXPECT_EQ(s.sha_avoided, 0u);
-  EXPECT_GE(s.sha_computed, 2u);
-  // Deduplication itself is unaffected — it rides the chunk OID.
-  EXPECT_EQ(h.chunk_object_count(), 1u);
-  EXPECT_EQ(h.total_chunk_refs(), 2u);
-}
-
 // --- Digest invariance: the fast path is host-side only ---
 
 bench::SimE2eConfig invariance_config(bool ec) {
@@ -573,35 +545,32 @@ bench::SimE2eConfig invariance_config(bool ec) {
 }
 
 void check_digest_invariance(bool ec) {
+  // Reference: every probe misses, so every chunk pays a full SHA.
   bench::SimE2eConfig cfg = invariance_config(ec);
-  cfg.fp_fastpath = 0;
   cfg.exec_threads = 1;
   cfg.sim_shards = 1;
-  const bench::SimE2eResult off = bench::run_sim_e2e(cfg);
-  EXPECT_TRUE(off.drained);
-  EXPECT_FALSE(off.fp_fastpath_used);
-  EXPECT_EQ(off.sha_avoided, 0u);
-  EXPECT_EQ(off.weak_hash_hits, 0u);
+  cfg.weak_hash_hook = bench::never_repeating_weak_hash();
+  const bench::SimE2eResult miss = bench::run_sim_e2e(cfg);
+  EXPECT_TRUE(miss.drained);
+  EXPECT_EQ(miss.sha_avoided, 0u);
+  EXPECT_EQ(miss.weak_hash_hits, 0u);
 
-  cfg.fp_fastpath = 1;
+  cfg.weak_hash_hook = nullptr;
   for (int shards : {1, 4}) {
     for (int threads : {1, 8}) {
       cfg.sim_shards = shards;
       cfg.exec_threads = threads;
-      const bench::SimE2eResult on = bench::run_sim_e2e(cfg);
+      const bench::SimE2eResult r = bench::run_sim_e2e(cfg);
       const std::string at = "ec=" + std::to_string(ec) +
                              " shards=" + std::to_string(shards) +
                              " threads=" + std::to_string(threads);
-      EXPECT_EQ(on.digest, off.digest) << at;
-      EXPECT_EQ(on.events, off.events) << at;
-      EXPECT_EQ(on.sim_duration, off.sim_duration) << at;
-      EXPECT_TRUE(on.fp_fastpath_used) << at;
-      // Host-side accounting: the fast path only ever removes SHA work.
-      EXPECT_LE(on.sha_computed, off.sha_computed) << at;
-      EXPECT_GT(on.sha_computed + on.sha_avoided, 0u) << at;
-      EXPECT_EQ(on.sha_computed + on.sha_avoided,
-                off.sha_computed + off.sha_avoided)
-          << at;
+      EXPECT_EQ(r.digest, miss.digest) << at;
+      EXPECT_EQ(r.events, miss.events) << at;
+      EXPECT_EQ(r.sim_duration, miss.sim_duration) << at;
+      // Host-side accounting: the index hits on this dedup-heavy run and
+      // only ever removes SHA work.
+      EXPECT_GT(r.sha_avoided, 0u) << at;
+      EXPECT_EQ(r.sha_computed + r.sha_avoided, miss.sha_computed) << at;
     }
   }
 }
@@ -612,31 +581,6 @@ TEST(FpFastpathDeterminism, DigestInvariantReplicated) {
 
 TEST(FpFastpathDeterminism, DigestInvariantEc) {
   check_digest_invariance(/*ec=*/true);
-}
-
-TEST(FpFastpathDeterminism, FaultCampaignSliceEquivalence) {
-  // Crash schedules under the campaign's seed->variant matrix must
-  // produce byte-stable reports with the fast path on or off: redo
-  // convergence, refcounts and reports never depend on which fingerprints
-  // came from the index.  The campaign builds its own Clusters, which
-  // read GDEDUP_FP_FASTPATH at construction.
-  auto run_slice = [](const char* fastpath) {
-    setenv("GDEDUP_FP_FASTPATH", fastpath, 1);
-    std::vector<std::string> reports;
-    for (uint64_t seed = 1; seed <= 16; seed++) {
-      ScheduleResult r = run_fault_schedule(schedule_config_for_seed(seed));
-      EXPECT_TRUE(r.clean()) << "seed " << seed << " fastpath=" << fastpath;
-      reports.push_back(std::move(r.report));
-    }
-    unsetenv("GDEDUP_FP_FASTPATH");
-    return reports;
-  };
-  const auto off = run_slice("0");
-  const auto on = run_slice("1");
-  ASSERT_EQ(off.size(), on.size());
-  for (size_t i = 0; i < off.size(); i++) {
-    EXPECT_EQ(off[i], on[i]) << "schedule seed " << (i + 1);
-  }
 }
 
 }  // namespace

@@ -237,7 +237,7 @@ TEST(OpTracker, SpansNestAndFinishIsIdempotent) {
   auto t = trk.start("write p/obj", usec(100));
   const size_t outer = t->span_begin("tier_write", usec(100));
   const size_t inner = t->span_begin("fingerprint", usec(110));
-  t->event("fingerprint_cache_hit", usec(115));
+  t->event("weak_hash_hit", usec(115));
   t->span_end(inner, usec(130));
   t->span_end(outer, usec(150));
   EXPECT_EQ(t->duration(), -1);  // unfinished
@@ -248,7 +248,7 @@ TEST(OpTracker, SpansNestAndFinishIsIdempotent) {
   ASSERT_EQ(t->spans().size(), 3u);
   EXPECT_EQ(t->spans()[0].stage, "tier_write");
   EXPECT_EQ(t->spans()[1].stage, "fingerprint");
-  EXPECT_EQ(t->spans()[2].stage, "fingerprint_cache_hit");
+  EXPECT_EQ(t->spans()[2].stage, "weak_hash_hit");
   EXPECT_EQ(t->spans()[1].end - t->spans()[1].begin, usec(20));
   EXPECT_EQ(t->spans()[2].begin, t->spans()[2].end);  // zero-duration marker
   EXPECT_EQ(trk.finished(), 1u);
@@ -256,7 +256,7 @@ TEST(OpTracker, SpansNestAndFinishIsIdempotent) {
 
 // ---------------------------------------------------------------------------
 // Cluster-level: span nesting through a real write -> flush -> read cycle,
-// compat stat views, and byte-identical same-seed dumps.
+// cluster counter sums, and byte-identical same-seed dumps.
 
 namespace {
 
@@ -313,9 +313,7 @@ TEST(ObservabilityCluster, TracesCoverWriteFlushRead) {
       saw_write = true;
     } else if (d.rfind("flush ", 0) == 0) {
       // Background flush trace: fingerprint + chunk-pool put stages.
-      EXPECT_TRUE(stages.count("fingerprint") ||
-                  stages.count("fingerprint_cache_hit"))
-          << d;
+      EXPECT_TRUE(stages.count("fingerprint")) << d;
       EXPECT_TRUE(stages.count("chunk_put")) << d;
       saw_flush = true;
     } else if (d.rfind("read ", 0) == 0) {
@@ -336,7 +334,7 @@ TEST(ObservabilityCluster, TracesCoverWriteFlushRead) {
   EXPECT_TRUE(saw_read);
 }
 
-TEST(ObservabilityCluster, CountersBackCompatStatViews) {
+TEST(ObservabilityCluster, PerfSumMatchesRegistry) {
   ClusterConfig cfg;
   cfg.storage_nodes = 2;
   cfg.osds_per_node = 2;
@@ -345,16 +343,28 @@ TEST(ObservabilityCluster, CountersBackCompatStatViews) {
   PoolId meta = -1;
   run_traced_workload(c, &meta);
 
-  // The compat stat views are rebuilt from the counters; cross-check a
-  // few fields directly against the registry.
+  // The registry entity is the tier's own counter set.
   DedupTier* tier = c.tier_of(0, meta);
   ASSERT_NE(tier, nullptr);
   auto pc = c.perf_registry()->get("tier.osd0.pool" + std::to_string(meta));
   ASSERT_NE(pc, nullptr);
-  const DedupTierStats& s = tier->stats();
-  EXPECT_EQ(s.writes, pc->get(l_tier_writes));
-  EXPECT_EQ(s.chunks_flushed, pc->get(l_tier_chunks_flushed));
-  EXPECT_EQ(s.flush_bytes, pc->get(l_tier_flush_bytes));
+  EXPECT_EQ(pc.get(), &tier->perf());
+  // Cluster sums equal sums over the registry's entities by prefix.
+  for (int idx : {l_tier_writes, l_tier_chunks_flushed, l_tier_flush_bytes}) {
+    uint64_t by_prefix = 0;
+    for (const auto& e : c.perf_registry()->sorted()) {
+      if (e->name().rfind("tier.", 0) == 0) by_prefix += e->get(idx);
+    }
+    EXPECT_GT(by_prefix, 0u) << pc->entry_name(idx);
+    EXPECT_EQ(c.perf_sum(idx), by_prefix) << pc->entry_name(idx);
+    EXPECT_EQ(c.perf_sum(idx, meta), by_prefix) << pc->entry_name(idx);
+  }
+  uint64_t osd_ops = 0;
+  for (const auto& e : c.perf_registry()->sorted()) {
+    if (e->name().rfind("osd.", 0) == 0) osd_ops += e->get(l_osd_client_ops);
+  }
+  EXPECT_GT(osd_ops, 0u);
+  EXPECT_EQ(c.perf_sum(l_osd_client_ops), osd_ops);
 
   // Per-stage latency histograms populated by the cycle.
   const Histogram* wl = pc->histogram(l_tier_write_lat);
@@ -371,6 +381,48 @@ TEST(ObservabilityCluster, CountersBackCompatStatViews) {
   }
   EXPECT_GT(flushes, 0u);
   EXPECT_GT(puts, 0u);
+}
+
+TEST(ObservabilityCluster, PerfSumCoversEveryTierCounterAfterCrash) {
+  // An OSD crashes and restarts with a wiped store, so before recovery it
+  // is primary for objects it no longer holds and pulls each one from a
+  // peer before serving an op on it.  The cluster sum of every tier
+  // counter must equal the hand sum over the tiers — including the
+  // crash-only counters (degraded_pulls, orphan_adoptions) that a
+  // hand-written field-by-field aggregate is prone to drop.
+  ClusterConfig ccfg = small_cluster_config();
+  ccfg.op_timeout = msec(200);  // ops lost with the crashed OSD time out
+  DedupHarness h(test_tier_config(), ccfg);
+  constexpr int kObjects = 32;
+  for (int i = 0; i < kObjects; i++) {
+    ASSERT_TRUE(h.write("o" + std::to_string(i), 0,
+                        random_buffer(64 * 1024, 300 + i))
+                    .is_ok());
+  }
+  ASSERT_TRUE(h.drain());
+  const OsdId victim = h.cluster->osdmap().primary(h.meta, "o0");
+  h.cluster->crash_osd(victim);
+  h.cluster->revive_osd(victim, /*wipe_store=*/true);
+  for (int i = 0; i < kObjects; i++) {
+    ASSERT_TRUE(h.write("o" + std::to_string(i), 16 * 1024,
+                        random_buffer(16 * 1024, 400 + i))
+                    .is_ok());
+  }
+  ASSERT_GT(h.cluster->perf_sum(l_tier_degraded_pulls, h.meta), 0u);
+
+  const obs::PerfCounters& pc0 = h.cluster->tier_of(0, h.meta)->perf();
+  int counters = 0;
+  for (int idx = pc0.first_index(); idx < pc0.last_index(); idx++) {
+    if (pc0.entry_type(idx) != obs::CounterType::kCounter) continue;
+    counters++;
+    uint64_t hand = 0;
+    for (Osd* o : h.cluster->osds()) {
+      hand += h.cluster->tier_of(o->id(), h.meta)->perf().get(idx);
+    }
+    EXPECT_EQ(h.cluster->perf_sum(idx, h.meta), hand) << pc0.entry_name(idx);
+    EXPECT_EQ(h.cluster->perf_sum(idx), hand) << pc0.entry_name(idx);
+  }
+  EXPECT_EQ(counters, l_tier_backlog - l_tier_first - 1);
 }
 
 TEST(ObservabilityCluster, DumpIsByteIdenticalAcrossSameSeedRuns) {

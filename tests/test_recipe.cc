@@ -390,11 +390,11 @@ TEST(RecipeMode, CompactionCreatesRecipesAndDropsInlineRecords) {
   EXPECT_TRUE(r->content_equals(data));
   EXPECT_TRUE(h.refcounts_consistent());
 
-  const DedupTierStats s = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(s.recipe_chunks, 2u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_recipe_chunks, h.meta), 2u);
   // Batched omap writes + packed/id-less records: actually-written
   // metadata bytes undercut the fixed-150B baseline.
-  EXPECT_GT(s.meta_bytes_baseline, s.meta_bytes_actual);
+  EXPECT_GT(h.cluster->perf_sum(l_tier_meta_bytes_baseline, h.meta),
+            h.cluster->perf_sum(l_tier_meta_bytes_actual, h.meta));
 }
 
 TEST(RecipeMode, SingleSlotWindowStaysInline) {
@@ -407,7 +407,7 @@ TEST(RecipeMode, SingleSlotWindowStaysInline) {
   ASSERT_EQ(cm.size(), 1u);
   EXPECT_TRUE(cm.recipes().empty());
   EXPECT_TRUE(cm.entries().begin()->second.inline_rec);
-  EXPECT_EQ(h.cluster->tier_stats(h.meta).recipe_chunks, 0u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_recipe_chunks, h.meta), 0u);
   EXPECT_TRUE(h.refcounts_consistent());
 }
 
@@ -501,12 +501,13 @@ TEST(RecipeMode, IdenticalObjectsShareRecipeChunks) {
   ASSERT_TRUE(h.write("tenant-b", 0, data).is_ok());
   ASSERT_TRUE(h.drain());
 
-  const DedupTierStats s = h.cluster->tier_stats(h.meta);
   // Four recipe puts total (two windows per object).  At least one dedups
   // against its twin; the exact created/hit split depends on flush
   // interleaving (both flushes may probe before either put lands).
-  EXPECT_EQ(s.recipe_chunks + s.recipe_hits, 4u);
-  EXPECT_GE(s.recipe_hits, 1u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_recipe_chunks, h.meta) +
+                h.cluster->perf_sum(l_tier_recipe_hits, h.meta),
+            4u);
+  EXPECT_GE(h.cluster->perf_sum(l_tier_recipe_hits, h.meta), 1u);
   // Chunk pool holds 8 data chunks + 2 recipe chunks, each doubly held.
   EXPECT_EQ(h.chunk_object_count(), 10u);
   EXPECT_TRUE(h.refcounts_consistent());
@@ -529,10 +530,10 @@ TEST(RecipeMode, OffModeWritesNoRecipes) {
   ChunkMap cm = load_map_at(*h.cluster, meta_primary(h, "obj"), h.meta, "obj");
   EXPECT_EQ(cm.size(), 8u);
   EXPECT_TRUE(cm.recipes().empty());
-  const DedupTierStats s = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(s.recipe_chunks, 0u);
-  EXPECT_EQ(s.recipe_hits, 0u);
-  EXPECT_EQ(s.meta_bytes_baseline, s.meta_bytes_actual);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_recipe_chunks, h.meta), 0u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_recipe_hits, h.meta), 0u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_meta_bytes_baseline, h.meta),
+            h.cluster->perf_sum(l_tier_meta_bytes_actual, h.meta));
 }
 
 // --- Determinism: recipe mode has its own shard/thread-stable digest ---

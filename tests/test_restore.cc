@@ -5,10 +5,10 @@
 // container objects without ever breaking invariant 3 (refs match maps),
 // readback is byte-identical, deep scrub stays clean (container OID ==
 // fingerprint of the concatenated content), and read amplification
-// measurably drops.  The assembly cache is host-side only: the
-// determinism digest is byte-identical with it on or off, at any
-// shard/thread count.  Rewrite mode changes virtual time by design and
-// carries its own frozen digest.
+// measurably drops.  The assembly window is host-side only: it must
+// engage on a sequential restore, and the determinism digest is
+// byte-identical at any shard/thread count.  Rewrite mode changes virtual
+// time by design and carries its own frozen digest.
 
 #include <gtest/gtest.h>
 
@@ -52,10 +52,9 @@ TEST(RestoreRewrite, CoalescesRunsIntoContainers) {
 
   // Eight evicted singleton chunks coalesced as two 4-chunk containers;
   // the old chunk objects lost their last ref and were reclaimed.
-  const DedupTierStats s = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(s.rewrite_runs, 2u);
-  EXPECT_EQ(s.rewrite_chunks, 8u);
-  EXPECT_EQ(s.rewrite_bytes, 8ull * kChunk);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_rewrite_runs, h.meta), 2u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_rewrite_chunks, h.meta), 8u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_rewrite_bytes, h.meta), 8ull * kChunk);
   EXPECT_EQ(h.chunk_object_count(), 2u);
   EXPECT_EQ(h.total_chunk_refs(), 8u);  // one ref per slot, per container
   EXPECT_TRUE(h.refcounts_consistent());
@@ -87,13 +86,15 @@ TEST(RestoreRewrite, CoalescesRunsIntoContainers) {
   // Read amplification dropped: one full-object read touches 2 distinct
   // chunk objects over 2 RPCs (the digested per-chunk counter still sees
   // all 8 slots).
-  const DedupTierStats t0 = h.cluster->tier_stats(h.meta);
+  auto tier = [&h](int idx) { return h.cluster->perf_sum(idx, h.meta); };
+  const uint64_t objs0 = tier(l_tier_read_chunk_objects);
+  const uint64_t rpcs0 = tier(l_tier_read_chunk_rpcs);
+  const uint64_t remote0 = tier(l_tier_redirected_read_chunks);
   auto r2 = h.read("obj", 0, 0);
   ASSERT_TRUE(r2.is_ok());
-  const DedupTierStats t1 = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(t1.read_chunk_objects - t0.read_chunk_objects, 2u);
-  EXPECT_EQ(t1.read_chunk_rpcs - t0.read_chunk_rpcs, 2u);
-  EXPECT_EQ(t1.redirected_read_chunks - t0.redirected_read_chunks, 8u);
+  EXPECT_EQ(tier(l_tier_read_chunk_objects) - objs0, 2u);
+  EXPECT_EQ(tier(l_tier_read_chunk_rpcs) - rpcs0, 2u);
+  EXPECT_EQ(tier(l_tier_redirected_read_chunks) - remote0, 8u);
 }
 
 TEST(RestoreRewrite, RespectsRewriteCap) {
@@ -104,9 +105,8 @@ TEST(RestoreRewrite, RespectsRewriteCap) {
   ASSERT_TRUE(h.write("obj", 0, image).is_ok());
   ASSERT_TRUE(h.drain());
 
-  const DedupTierStats s = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(s.rewrite_runs, 1u);
-  EXPECT_EQ(s.rewrite_chunks, 4u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_rewrite_runs, h.meta), 1u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_rewrite_chunks, h.meta), 4u);
   EXPECT_EQ(h.chunk_object_count(), 5u);  // 1 container + 4 singletons
   EXPECT_TRUE(h.refcounts_consistent());
   auto r = h.read("obj", 0, 0);
@@ -149,7 +149,7 @@ TEST(RestoreRewrite, DeepScrubVerifiesContainerFingerprints) {
   DedupHarness h(rewrite_tier_config(/*run_len=*/4, /*max_pct=*/100));
   ASSERT_TRUE(h.write("obj", 0, random_buffer(8 * kChunk, 0xbeef)).is_ok());
   ASSERT_TRUE(h.drain());
-  ASSERT_GE(h.cluster->tier_stats(h.meta).rewrite_runs, 1u);
+  ASSERT_GE(h.cluster->perf_sum(l_tier_rewrite_runs, h.meta), 1u);
 
   Scrubber s(h.cluster.get(), h.meta, h.chunks);
   const ScrubReport rep = s.deep_scrub();
@@ -162,13 +162,12 @@ TEST(RestoreRewrite, OffByDefaultNeverRewrites) {
   DedupHarness h(test_tier_config());
   ASSERT_TRUE(h.write("obj", 0, random_buffer(8 * kChunk, 0x777)).is_ok());
   ASSERT_TRUE(h.drain());
-  const DedupTierStats s = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(s.rewrite_runs, 0u);
-  EXPECT_EQ(s.rewrite_chunks, 0u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_rewrite_runs, h.meta), 0u);
+  EXPECT_EQ(h.cluster->perf_sum(l_tier_rewrite_chunks, h.meta), 0u);
   EXPECT_EQ(h.chunk_object_count(), 8u);
 }
 
-// --- Determinism: assembly cache neutrality + frozen rewrite digest ---
+// --- Determinism: shard/thread invariance + frozen rewrite digest ---
 
 struct RestoreDigest {
   std::string digest;
@@ -179,13 +178,11 @@ struct RestoreDigest {
 // A small preload -> drain -> sequential-restore scenario, digesting the
 // per-op latency stream and the final cluster state (same contract as the
 // sim-e2e determinism tests).
-RestoreDigest run_restore_digest(int assembly, bool rewrite, int shards,
-                                 int threads) {
+RestoreDigest run_restore_digest(bool rewrite, int shards, int threads) {
   ClusterConfig cc;
   cc.storage_nodes = 2;
   cc.osds_per_node = 2;
   cc.client_nodes = 1;
-  cc.restore_assembly = assembly;
   cc.sim_shards = shards;
   cc.exec_threads = threads;
   Cluster c(cc);
@@ -233,25 +230,24 @@ RestoreDigest run_restore_digest(int assembly, bool rewrite, int shards,
           &dig));
   bench::digest_final_state(c, base, chunks, &dig);
 
-  const DedupTierStats ts = c.tier_stats(base);
-  return {dig.hex(), ts.asm_hits, ts.rewrite_runs};
+  return {dig.hex(), c.perf_sum(l_tier_asm_hits, base),
+          c.perf_sum(l_tier_rewrite_runs, base)};
 }
 
 TEST(RestoreAssembly, DigestInvariantAcrossShardsAndThreads) {
-  const RestoreDigest off = run_restore_digest(/*assembly=*/0,
-                                               /*rewrite=*/false, 1, 1);
-  EXPECT_EQ(off.asm_hits, 0u);
+  const RestoreDigest serial = run_restore_digest(/*rewrite=*/false, 1, 1);
+  // The window must actually engage on a sequential sweep — a digest
+  // match against a dormant window would prove nothing.
+  EXPECT_GT(serial.asm_hits, 0u);
   for (int shards : {1, 4}) {
     for (int threads : {1, 8}) {
-      const RestoreDigest on =
-          run_restore_digest(/*assembly=*/1, /*rewrite=*/false, shards,
-                             threads);
+      if (shards == 1 && threads == 1) continue;
+      const RestoreDigest r =
+          run_restore_digest(/*rewrite=*/false, shards, threads);
       const std::string at = "shards=" + std::to_string(shards) +
                              " threads=" + std::to_string(threads);
-      EXPECT_EQ(on.digest, off.digest) << at;
-      // The cache must actually engage on a sequential sweep — a digest
-      // match against a dormant cache would prove nothing.
-      EXPECT_GT(on.asm_hits, 0u) << at;
+      EXPECT_EQ(r.digest, serial.digest) << at;
+      EXPECT_EQ(r.asm_hits, serial.asm_hits) << at;
     }
   }
 }
@@ -260,13 +256,12 @@ TEST(RestoreRewrite, FrozenDigest) {
   // Rewrite mode intentionally changes placement and virtual time; what
   // it must NOT do is vary across shard/thread counts or silently drift.
   // Re-freeze deliberately when the rewrite policy changes.
-  const RestoreDigest serial = run_restore_digest(/*assembly=*/1,
-                                                  /*rewrite=*/true, 1, 1);
-  const RestoreDigest sharded = run_restore_digest(/*assembly=*/1,
-                                                   /*rewrite=*/true, 4, 8);
+  // Re-frozen when the always-zero fingerprint-memo count left the digest.
+  const RestoreDigest serial = run_restore_digest(/*rewrite=*/true, 1, 1);
+  const RestoreDigest sharded = run_restore_digest(/*rewrite=*/true, 4, 8);
   EXPECT_GT(serial.rewrite_runs, 0u);
   EXPECT_EQ(serial.digest, sharded.digest);
-  EXPECT_EQ(serial.digest, "29a3a1e0");
+  EXPECT_EQ(serial.digest, "3321056e");
 }
 
 }  // namespace

@@ -45,12 +45,15 @@ struct Golden {
 // recovery) run on a dedicated global lane ordered before same-timestamp
 // shard events.  Both orders are pure functions of virtual time; the
 // digests are byte-identical for any GDEDUP_SIM_SHARDS and for parallel
-// window execution (test_sim_shards enforces this).
+// window execution (test_sim_shards enforces this).  Re-frozen once more
+// when the digest stopped folding in the fingerprint memo's hit count (the
+// memo is gone; the count was 0 in every scenario here), so one counter
+// sample fewer and no virtual-time observable moved.
 constexpr Golden kGoldens[] = {
-    {2, 2, 1, "a3446282"},
-    {2, 2, 7, "518db629"},
-    {4, 4, 1, "8a3248c7"},
-    {4, 4, 7, "5f62e2b2"},
+    {2, 2, 1, "592bd7ba"},
+    {2, 2, 7, "bef266e7"},
+    {4, 4, 1, "4459a144"},
+    {4, 4, 7, "188cd525"},
 };
 
 TEST(SimDeterminism, DigestMatchesPreFastPathGoldens) {

@@ -1,11 +1,13 @@
-// Gated work budget: heap allocations per client op on the block path.
+// Gated work budgets: heap allocations and scheduler events per client op
+// on the block path.
 //
 // A tiny block workload (preload, duplicate-heavy 8 KiB overwrites, dedup
 // drain, 8 KiB reads) on a 2x metadata pool tiered onto a 2x chunk pool,
-// with every operator new in the run counted.  The count is a pure
-// function of the code path (serial engine, no kernel workers), so the
-// budget is a hard gate: a change that adds per-op copies on the OSD op
-// path or in the tier fails here, long before it shows as wall time.
+// with every operator new and every executed event in the run counted.
+// Both counts are pure functions of the code path (serial engine, no
+// kernel workers), so the budgets are hard gates: a change that adds
+// per-op copies or per-op events on the OSD op path or in the tier fails
+// here, long before it shows as wall time.
 
 #include <gtest/gtest.h>
 
@@ -46,9 +48,13 @@ namespace {
 
 // Allocations per client op when the budget was set: 73.1, down from
 // 120.2 before the OSD op path stopped copying transactions, reply
-// callbacks and queued ops.  The budget leaves ~10% for unrelated growth;
-// lower it when a change cuts the count.
+// callbacks and queued ops (72.4 once the fingerprint memo was gone).
+// The budget leaves ~10% for unrelated growth; lower it when a change
+// cuts the count.
 constexpr double kAllocsPerOpBudget = 80.0;
+// Scheduler events per client op when the budget was set: 12.37.  Same
+// ~10% headroom.
+constexpr double kEventsPerOpBudget = 13.6;
 
 constexpr uint64_t kImageBytes = 4 << 20;
 constexpr uint32_t kObjectBytes = 1 << 20;
@@ -74,15 +80,13 @@ int run_ops(Cluster& c, int n, Issue issue) {
   return pending > 0 ? n : failed;
 }
 
-TEST(WorkBudget, BlockPathAllocationsPerOp) {
+TEST(WorkBudget, BlockPathAllocationsAndEventsPerOp) {
   ClusterConfig cc = testutil::small_cluster_config();
   cc.storage_nodes = 2;
   cc.osds_per_node = 2;
   cc.client_nodes = 1;
   cc.exec_threads = 1;
   cc.sim_shards = 1;
-  cc.fp_fastpath = 1;
-  cc.restore_assembly = 1;
   cc.recipe_dedup = 0;
   testutil::DedupHarness h(testutil::test_tier_config(), cc);
   BlockDevice bd(h.client.get(), h.meta, "budget-img", kImageBytes,
@@ -117,6 +121,7 @@ TEST(WorkBudget, BlockPathAllocationsPerOp) {
     bd.write(off, data, [done](Status s) { done(s.is_ok()); });
   };
   const int preload_ops = static_cast<int>(preload.size());
+  const uint64_t events0 = h.cluster->sched().events_executed();
   g_allocs.store(0);
   g_counting.store(true);
   int failed = run_ops(*h.cluster, preload_ops, [&](int i, auto done) {
@@ -131,14 +136,19 @@ TEST(WorkBudget, BlockPathAllocationsPerOp) {
             [done](Result<Buffer> r) { done(r.is_ok()); });
   });
   g_counting.store(false);
+  const uint64_t events = h.cluster->sched().events_executed() - events0;
 
   ASSERT_TRUE(drained);
   ASSERT_EQ(failed, 0);
   const int ops = preload_ops + kOverwrites + kReads;
   const double per_op = static_cast<double>(g_allocs.load()) / ops;
-  std::printf("allocs_per_op %.2f (budget %.1f, %d client ops)\n", per_op,
-              kAllocsPerOpBudget, ops);
+  const double events_per_op = static_cast<double>(events) / ops;
+  std::printf("allocs_per_op %.2f (budget %.1f), events_per_op %.2f "
+              "(budget %.1f), %d client ops\n",
+              per_op, kAllocsPerOpBudget, events_per_op, kEventsPerOpBudget,
+              ops);
   EXPECT_LE(per_op, kAllocsPerOpBudget);
+  EXPECT_LE(events_per_op, kEventsPerOpBudget);
 }
 
 }  // namespace

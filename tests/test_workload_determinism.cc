@@ -40,7 +40,7 @@ TEST(Determinism, IdenticalRunsProduceIdenticalClusters) {
     return Snapshot{h.cluster->sched().now(),
                     h.cluster->total_physical_bytes(), h.chunk_object_count(),
                     h.total_chunk_refs(),
-                    h.cluster->tier_stats(h.meta).chunks_flushed};
+                    h.cluster->perf_sum(l_tier_chunks_flushed, h.meta)};
   };
   const auto a = run();
   const auto b = run();
