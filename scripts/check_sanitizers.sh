@@ -74,7 +74,7 @@ cmake -B "${tsan_dir}" -S "${repo_root}" \
     -DCMAKE_CXX_FLAGS="${tsan_flags}" \
     -DCMAKE_EXE_LINKER_FLAGS="${tsan_flags}"
 cmake --build "${tsan_dir}" -j "$(nproc)" \
-    --target test_observability perf_dump test_exec_pool \
+    --target test_common test_observability perf_dump test_exec_pool \
     test_fault_campaign bench_micro_components bench_sim_e2e \
     test_sim_determinism test_sim_shards test_fp_fastpath bench_fp_lookup \
     test_telemetry bench_churn test_recipe bench_meta
@@ -90,9 +90,11 @@ cd "${tsan_dir}"
 # shard windows, kernel workers and the refs cache interleave.  Parallel
 # windows stay off here: op-trace ids are assigned in wall-clock order
 # across shard workers (DESIGN.md §9), so obs-dump byte-identity is a
-# serial-execution guarantee.
+# serial-execution guarantee.  test_common's ObjectName tests copy one
+# name's refcount from several threads at once, as exec-pool workers and
+# parallel windows do.
 GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 ctest_run -R \
-    'test_observability|perf_dump_smoke|test_exec_pool|fault_smoke|bench_smoke|sim_e2e_smoke|test_fp_fastpath|bench_fp_smoke'
+    'test_common|test_observability|perf_dump_smoke|test_exec_pool|fault_smoke|bench_smoke|sim_e2e_smoke|test_fp_fastpath|bench_fp_smoke'
 
 # Parallel shard windows on top for the digest tests: cross-shard inbox
 # handoff, gated object-store/OSD locks and barrier synchronization get

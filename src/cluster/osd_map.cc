@@ -82,9 +82,9 @@ std::vector<PoolId> OsdMap::pool_ids() const {
   return out;
 }
 
-uint32_t OsdMap::pg_of(PoolId pool, const std::string& oid) const {
+uint32_t OsdMap::pg_of(PoolId pool, const ObjectName& oid) const {
   const PoolConfig& cfg = this->pool(pool);
-  return static_cast<uint32_t>(fnv1a(oid) % cfg.pg_num);
+  return static_cast<uint32_t>(oid.fnv() % cfg.pg_num);
 }
 
 uint64_t OsdMap::placement_seed(PoolId pool, uint32_t pg) const {

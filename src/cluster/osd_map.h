@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cluster/crush.h"
+#include "common/object_name.h"
 #include "common/status.h"
 #include "hash/fingerprint.h"
 #include "sim/scheduler.h"
@@ -147,7 +148,8 @@ class OsdMap {
   std::vector<PoolId> pool_ids() const;
 
   // --- placement ---
-  uint32_t pg_of(PoolId pool, const std::string& oid) const;
+  // The name carries its FNV-1a hash, so placement hashes no bytes.
+  uint32_t pg_of(PoolId pool, const ObjectName& oid) const;
 
   // Ordered acting set for an object (primary first).  Down OSDs are
   // excluded, so the set reflects post-failure placement.  The reference
@@ -155,12 +157,12 @@ class OsdMap {
   // lifetime, but its contents change at the next liveness change, so a
   // caller that can mark an OSD down or up while it walks the set
   // (directly or through a synchronous failure hook) keeps a copy.
-  const std::vector<OsdId>& acting(PoolId pool, const std::string& oid) const {
+  const std::vector<OsdId>& acting(PoolId pool, const ObjectName& oid) const {
     return acting_for_pg(pool, pg_of(pool, oid));
   }
   const std::vector<OsdId>& acting_for_pg(PoolId pool, uint32_t pg) const;
 
-  OsdId primary(PoolId pool, const std::string& oid) const {
+  OsdId primary(PoolId pool, const ObjectName& oid) const {
     const auto& a = acting(pool, oid);
     return a.empty() ? -1 : a[0];
   }

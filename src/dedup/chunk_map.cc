@@ -52,13 +52,33 @@ ChunkMapEntry& ChunkMap::obtain(uint64_t offset, uint32_t length) {
   return e;
 }
 
-bool ChunkMap::erase(uint64_t offset) { return entries_.erase(offset) > 0; }
+ChunkMapEntry& ChunkMap::put(ChunkMapEntry e) {
+  const uint64_t offset = e.offset;
+  auto [it, inserted] = entries_.try_emplace(offset);
+  if (!inserted) count(it->second, -1);
+  it->second = std::move(e);
+  count(it->second, +1);
+  return it->second;
+}
 
-bool ChunkMap::any_dirty() const {
-  for (const auto& [off, e] : entries_) {
-    if (e.dirty) return true;
-  }
-  return false;
+bool ChunkMap::erase(uint64_t offset) {
+  auto it = entries_.find(offset);
+  if (it == entries_.end()) return false;
+  count(it->second, -1);
+  entries_.erase(it);
+  return true;
+}
+
+void ChunkMap::set_cached(ChunkMapEntry& e, bool v) {
+  count(e, -1);
+  e.cached = v;
+  count(e, +1);
+}
+
+void ChunkMap::set_dirty(ChunkMapEntry& e, bool v) {
+  count(e, -1);
+  e.dirty = v;
+  count(e, +1);
 }
 
 uint64_t ChunkMap::logical_end() const {
@@ -109,7 +129,9 @@ Result<ChunkMapEntry> ChunkMap::decode_entry(const Buffer& b) {
   if (auto s = ed.get_u64(&ent.offset); !s.is_ok()) return s;
   if (auto s = ed.get_u32(&ent.length); !s.is_ok()) return s;
   if (auto s = ed.get_u8(&flags); !s.is_ok()) return s;
-  if (auto s = ed.get_string(&ent.chunk_id); !s.is_ok()) return s;
+  std::string chunk_id;
+  if (auto s = ed.get_string(&chunk_id); !s.is_ok()) return s;
+  if (!chunk_id.empty()) ent.chunk_id = std::move(chunk_id);
   // Container offset rides after the chunk id; entries written before the
   // field existed (or handed to tests unpadded) decode it as absent = 0.
   if (auto s = ed.get_u64(&ent.chunk_off); !s.is_ok()) ent.chunk_off = 0;
@@ -140,7 +162,7 @@ Buffer ChunkMap::encode_entry_packed(const ChunkMapEntry& ent) {
     for (uint8_t b : f.digest()) ee.put_u8(b);
   } else if (idkind == kPkIdRaw) {
     ee.put_varint(ent.chunk_id.size());
-    for (char c : ent.chunk_id) ee.put_u8(static_cast<uint8_t>(c));
+    for (char c : ent.chunk_id.str()) ee.put_u8(static_cast<uint8_t>(c));
   }
   if (ent.chunk_off != 0) ee.put_varint(ent.chunk_off);
   // Size is the legacy/packed format discriminator, so a packed entry
@@ -180,12 +202,14 @@ Result<ChunkMapEntry> ChunkMap::decode_entry_packed(const Buffer& b) {
     uint64_t n = 0;
     if (auto s = ed.get_varint(&n); !s.is_ok()) return s;
     if (ed.remaining() < n) return Status::corruption("short packed id");
-    ent.chunk_id.reserve(n);
+    std::string id;
+    id.reserve(n);
     for (uint64_t i = 0; i < n; i++) {
       uint8_t c = 0;
       if (auto s = ed.get_u8(&c); !s.is_ok()) return s;
-      ent.chunk_id.push_back(static_cast<char>(c));
+      id.push_back(static_cast<char>(c));
     }
+    ent.chunk_id = std::move(id);
   } else if (idkind != kPkIdNone) {
     return Status::corruption("bad packed id kind");
   }
@@ -278,8 +302,7 @@ Result<ChunkMap> load_chunk_map(const ObjectStore& store,
     if (!ent.is_ok()) return ent.status();
     ChunkMapEntry e = std::move(ent).value();
     e.inline_rec = true;
-    const uint64_t off = e.offset;
-    cm.entries()[off] = std::move(e);
+    cm.put(std::move(e));
   }
   return cm;
 }
@@ -294,8 +317,7 @@ Result<ChunkMap> ChunkMap::decode(const Buffer& b) {
     if (auto s = d.get_bytes(&padded); !s.is_ok()) return s;
     auto ent = decode_entry(padded);
     if (!ent.is_ok()) return ent.status();
-    ChunkMapEntry e = std::move(ent).value();
-    cm.entries_[e.offset] = std::move(e);
+    cm.put(std::move(ent).value());
   }
   return cm;
 }

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "common/buffer.h"
+#include "common/object_name.h"
 #include "common/status.h"
 
 namespace gdedup {
@@ -47,7 +48,7 @@ inline constexpr uint64_t kRecipeRefBit = 1ULL << 63;
 struct ChunkMapEntry {
   uint64_t offset = 0;
   uint32_t length = 0;
-  std::string chunk_id;  // fingerprint-hex OID; empty until first flush
+  ObjectName chunk_id;  // fingerprint-hex OID; empty until first flush
   bool cached = false;
   bool dirty = false;
   // Offset of this slot's bytes inside the chunk object.  0 for ordinary
@@ -101,12 +102,25 @@ class ChunkMap {
   // Get-or-create the entry at `offset`; `length` updates the stored
   // length (chunk growth when the object's tail extends).
   ChunkMapEntry& obtain(uint64_t offset, uint32_t length);
+  // Insert or replace the entry at e.offset.
+  ChunkMapEntry& put(ChunkMapEntry e);
 
   bool erase(uint64_t offset);
 
-  bool any_dirty() const;
+  // The cached/dirty flags of an entry in this map are set through the
+  // map, which keeps their counts: the flush engine asks, per flushed
+  // chunk, whether any chunk of the object is still dirty or local.
+  void set_cached(ChunkMapEntry& e, bool v);
+  void set_dirty(ChunkMapEntry& e, bool v);
+
+  bool any_dirty() const { return n_dirty_ > 0; }
+  size_t dirty_count() const { return n_dirty_; }
+  // Some chunk's bytes are in the data part (cached or dirty).
+  bool any_local() const { return n_local_ > 0; }
   uint64_t logical_end() const;  // max(offset + length), in O(1)
 
+  // Mutable for the fields the map does not count; cached and dirty go
+  // through set_cached / set_dirty.
   std::map<uint64_t, ChunkMapEntry>& entries() { return entries_; }
   const std::map<uint64_t, ChunkMapEntry>& entries() const { return entries_; }
 
@@ -140,7 +154,14 @@ class ChunkMap {
   void set_unresolved(bool v) { unresolved_ = v; }
 
  private:
+  void count(const ChunkMapEntry& e, int sign) {
+    n_dirty_ += sign * static_cast<int>(e.dirty);
+    n_local_ += sign * static_cast<int>(e.cached || e.dirty);
+  }
+
   std::map<uint64_t, ChunkMapEntry> entries_;
+  size_t n_dirty_ = 0;
+  size_t n_local_ = 0;  // entries with cached || dirty
   std::map<uint64_t, RecipeRecord> recipes_;
   bool unresolved_ = false;
 };

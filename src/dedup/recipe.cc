@@ -140,8 +140,7 @@ Result<ChunkMap> load_chunk_map_resolved(ClusterContext* ctx,
     ChunkMapEntry e = std::move(ent).value();
     e.inline_rec = true;
     if (bytes_read != nullptr) *bytes_read += k.size() + v.size();
-    const uint64_t off = e.offset;
-    cm.entries()[off] = std::move(e);
+    cm.put(std::move(e));
   }
   for (const auto& [k, v] : store.omap_list(key, kRecipeRecordPrefix)) {
     auto rec = RecipeRecord::decode(v);
@@ -168,8 +167,7 @@ Result<ChunkMap> load_chunk_map_resolved(ClusterContext* ctx,
       // recipe was written and its inline record carries the truth.
       if (cm.find(e.offset) != nullptr) continue;
       e.inline_rec = false;
-      const uint64_t off = e.offset;
-      cm.entries()[off] = std::move(e);
+      cm.put(std::move(e));
     }
   }
   return cm;

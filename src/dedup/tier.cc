@@ -18,7 +18,7 @@ struct Gather {
   std::vector<Buffer> parts;
   int outstanding = 0;
   Status worst;
-  std::function<void(Status)> done;
+  StatusFn done;
 
   void arrive(size_t idx, Result<Buffer> r) {
     if (r.is_ok()) {
@@ -30,8 +30,7 @@ struct Gather {
       // Move out before invoking: `done` routinely captures the Gather's
       // own shared_ptr (via a locked weak ref), and leaving it stored
       // would keep the parts alive past completion.
-      auto fn = std::move(done);
-      done = nullptr;
+      StatusFn fn = std::move(done);
       fn(worst);
     }
   }
@@ -142,7 +141,7 @@ void DedupTier::sync_telemetry_gauges() {
 
 // --------------------------------------------------------- object context
 
-ChunkMap& DedupTier::cached_map(const std::string& oid) {
+ChunkMap& DedupTier::cached_map(const ObjectName& oid) {
   auto it = map_cache_.find(oid);
   if (it != map_cache_.end()) return it->second;
   const ObjectKey key{pool_, oid};
@@ -192,7 +191,7 @@ ChunkMap& DedupTier::cached_map(const std::string& oid) {
   return map_cache_.emplace(oid, std::move(cm)).first->second;
 }
 
-void DedupTier::overlay_local(const std::string& oid, uint64_t off,
+void DedupTier::overlay_local(const ObjectName& oid, uint64_t off,
                               Buffer* buf) const {
   const ObjectStore* st = osd_->store_if_exists(pool_);
   if (st == nullptr) return;
@@ -214,24 +213,36 @@ void DedupTier::overlay_local(const std::string& oid, uint64_t off,
   }
 }
 
-const ChunkMap* DedupTier::cached_map_if_loaded(const std::string& oid) const {
+const ChunkMap* DedupTier::cached_map_if_loaded(const ObjectName& oid) const {
   auto it = map_cache_.find(oid);
   return it == map_cache_.end() ? nullptr : &it->second;
 }
 
-uint64_t DedupTier::logical_size(const std::string& oid) const {
+uint64_t DedupTier::logical_size(const ObjectName& oid) const {
   const ObjectStore* st = osd_->store_if_exists(pool_);
   const ObjectState* o =
-      st == nullptr ? nullptr : st->find_prehashed(PrehashedKey(pool_, oid));
+      st == nullptr ? nullptr : st->find({pool_, oid});
   return o == nullptr ? 0 : o->logical_size;
 }
 
-void DedupTier::mark_dirty(const std::string& oid) {
+void DedupTier::mark_dirty(const ObjectName& oid) {
   if (inflight_oids_.count(oid)) return;  // will requeue after its flush
   if (dirty_set_.insert(oid).second) dirty_list_.push_back(oid);
 }
 
-bool DedupTier::fail_at(FailurePoint p, const std::string& oid) {
+void DedupTier::rescan_dirty() {
+  const ObjectStore* st = osd_->store_if_exists(pool_);
+  if (st == nullptr) return;
+  for (const auto& key : st->list(pool_)) {
+    if (is_dirty(key.oid) || pending_writes_.count(key.oid) > 0) continue;
+    auto cm = load_chunk_map(*st, key);
+    if (!cm.is_ok() || !cm.value().any_dirty()) continue;
+    drop_context(key.oid);
+    mark_dirty(key.oid);
+  }
+}
+
+bool DedupTier::fail_at(FailurePoint p, const ObjectName& oid) {
   if (failure_hook_ && failure_hook_(p, oid)) {
     perf_->inc(l_tier_engine_aborts);
     return true;
@@ -313,7 +324,7 @@ void DedupTier::put_entry_record(Transaction* txn, const ObjectKey& key,
     // the old ref is a dangling false positive the GC sweep already
     // handles — the same window as a crash after the chunk put.
     ChunkMapEntry stripped = *e;
-    stripped.chunk_id.clear();
+    stripped.chunk_id = ObjectName();
     stripped.chunk_off = 0;
     stripped.container = false;
     v = encode_entry_record(stripped);
@@ -325,8 +336,8 @@ void DedupTier::put_entry_record(Transaction* txn, const ObjectKey& key,
   txn->omap_set(key, k, std::move(v));
 }
 
-void DedupTier::queue_deferred_deref(const std::string& oid,
-                                     const std::string& chunk_id,
+void DedupTier::queue_deferred_deref(const ObjectName& oid,
+                                     const ObjectName& chunk_id,
                                      const ChunkRef& ref) {
   if (MetaBatch* b = meta_batch(oid)) {
     b->derefs.push_back({chunk_id, ref});
@@ -335,7 +346,7 @@ void DedupTier::queue_deferred_deref(const std::string& oid,
   }
 }
 
-void DedupTier::break_recipes(const std::string& oid, ChunkMap* cm,
+void DedupTier::break_recipes(const ObjectName& oid, ChunkMap* cm,
                               Transaction* txn) {
   const ObjectKey key{pool_, oid};
   for (const auto& [base, rec] : cm->recipes()) {
@@ -349,7 +360,7 @@ void DedupTier::break_recipes(const std::string& oid, ChunkMap* cm,
   cm->recipes().clear();
 }
 
-void DedupTier::persist_pending_slots(const std::string& oid,
+void DedupTier::persist_pending_slots(const ObjectName& oid,
                                       const std::vector<uint64_t>& members) {
   MetaBatch* b = meta_batch(oid);
   if (b == nullptr) return;
@@ -363,7 +374,7 @@ void DedupTier::persist_pending_slots(const std::string& oid,
   }
 }
 
-void DedupTier::compact_recipes(const std::string& oid,
+void DedupTier::compact_recipes(const ObjectName& oid,
                                 std::function<void()> done) {
   MetaBatch* b = meta_batch(oid);
   if (b == nullptr || !osd_->local_exists(pool_, oid)) {
@@ -467,7 +478,7 @@ void DedupTier::compact_recipes(const std::string& oid,
             return;
           }
           ChunkMap& cm = mit->second;
-          const std::string rid = fp.hex();
+          const ObjectName rid = fp.hex();
           auto account_rm = [this](const std::string& k) {
             osd_->perf().inc(l_osd_meta_bytes_written, k.size());
             perf_->inc(l_tier_meta_bytes_actual, k.size());
@@ -599,7 +610,7 @@ void DedupTier::compact_recipes(const std::string& oid,
   (*step)();
 }
 
-void DedupTier::apply_meta_batch(const std::string& oid, bool any_dirty,
+void DedupTier::apply_meta_batch(const ObjectName& oid, bool any_dirty,
                                  std::function<void(bool)> done) {
   auto it = meta_batches_.find(oid);
   if (it == meta_batches_.end()) {
@@ -630,21 +641,12 @@ void DedupTier::apply_meta_batch(const std::string& oid, bool any_dirty,
         it->second.txn.punch_hole(key, off, e->length);
         punched = true;
       }
-      if (punched) {
-        bool any_local = false;
-        for (const auto& [eoff, ent] : cm.entries()) {
-          if (ent.cached || ent.dirty) {
-            any_local = true;
-            break;
-          }
-        }
-        if (!any_local) it->second.txn.truncate(key, 0);
-      }
+      if (punched && !cm.any_local()) it->second.txn.truncate(key, 0);
     }
   }
   MetaBatch batch = std::move(it->second);
   meta_batches_.erase(it);
-  auto derefs = std::make_shared<std::vector<std::pair<std::string, ChunkRef>>>(
+  auto derefs = std::make_shared<std::vector<std::pair<ObjectName, ChunkRef>>>(
       std::move(batch.derefs));
   auto release = [this, derefs] {
     // Deref-last: the queued releases only run once the batched map apply
@@ -672,7 +674,7 @@ void DedupTier::apply_meta_batch(const std::string& oid, bool any_dirty,
 
 // ------------------------------------------------------- chunk-pool I/O
 
-void DedupTier::read_chunk_from_pool(const std::string& chunk_oid,
+void DedupTier::read_chunk_from_pool(const ObjectName& chunk_oid,
                                      uint64_t off, uint64_t len,
                                      bool foreground,
                                      std::function<void(Result<Buffer>)> done,
@@ -703,9 +705,9 @@ void DedupTier::read_chunk_from_pool(const std::string& chunk_oid,
               });
 }
 
-std::string DedupTier::find_chunk_recording_ref(
-    const std::string& oid, uint64_t offset,
-    const std::string& not_this) const {
+ObjectName DedupTier::find_chunk_recording_ref(
+    const ObjectName& oid, uint64_t offset,
+    const ObjectName& not_this) const {
   // Only one other chunk can legitimately record this entry's ref: the one
   // a crashed flush attempt put before losing its map update.  Scan every
   // up holder so EC shards and degraded placements are both covered; the
@@ -732,7 +734,7 @@ std::string DedupTier::find_chunk_recording_ref(
   return {};
 }
 
-void DedupTier::send_chunk_put(const std::string& chunk_oid, Buffer data,
+void DedupTier::send_chunk_put(const ObjectName& chunk_oid, Buffer data,
                                const ChunkRef& ref, bool foreground,
                                std::function<void(Status)> done,
                                obs::OpTraceRef trace,
@@ -760,7 +762,7 @@ void DedupTier::send_chunk_put(const std::string& chunk_oid, Buffer data,
               });
 }
 
-void DedupTier::send_chunk_deref(const std::string& chunk_oid,
+void DedupTier::send_chunk_deref(const ObjectName& chunk_oid,
                                  const ChunkRef& ref, bool foreground,
                                  std::function<void(Status)> done,
                                  obs::OpTraceRef trace) {
@@ -817,7 +819,7 @@ void DedupTier::handle_write(const OsdOp& op, ReplyFn reply) {
 }
 
 void DedupTier::post_process_write(const OsdOp& op, ReplyFn reply) {
-  const std::string& oid = op.oid;
+  const ObjectName& oid = op.oid;
   const uint64_t off = op.type == OsdOpType::kWriteFull ? 0 : op.off;
   const Buffer data = op.data;
   const uint64_t wlen = data.size();
@@ -838,7 +840,7 @@ void DedupTier::post_process_write(const OsdOp& op, ReplyFn reply) {
 
   struct Preread {
     uint64_t chunk_off;   // logical slot offset in the object
-    std::string chunk_oid;
+    ObjectName chunk_oid;
     uint32_t length;
     uint64_t src_off;     // offset of the slot inside the chunk object
   };
@@ -867,7 +869,7 @@ void DedupTier::post_process_write(const OsdOp& op, ReplyFn reply) {
                   reply = std::move(reply)](Status ps) mutable {
     auto g = gw.lock();
     if (!g) return;
-    const std::string& oid = key.oid;
+    const ObjectName& oid = key.oid;
     if (!ps.is_ok()) {
       reply(OsdOpReply{ps, {}, 0, {}, nullptr});
       return;
@@ -901,7 +903,7 @@ void DedupTier::post_process_write(const OsdOp& op, ReplyFn reply) {
       ChunkMapEntry* e = cm.find(prereads[i].chunk_off);
       if (e != nullptr && e->chunk_id == prereads[i].chunk_oid && !e->cached) {
         txn.write(key, prereads[i].chunk_off, g->parts[i]);
-        e->cached = true;
+        cm.set_cached(*e, true);
       }
     }
     txn.write(key, off, data);
@@ -915,13 +917,13 @@ void DedupTier::post_process_write(const OsdOp& op, ReplyFn reply) {
       if (fully_covered || !e.flushed()) {
         // The data part now holds the whole chunk (holes read as zeros for
         // never-flushed chunks).
-        e.cached = true;
+        cm.set_cached(e, true);
       }
       // Otherwise this is a partial write over an evicted chunk: the data
       // part holds only the new bytes (Figure 8's cached=false, dirty=true
       // state); the background flush merges the rest from the chunk pool,
       // keeping the read-modify-write OFF the foreground path.
-      e.dirty = true;
+      cm.set_dirty(e, true);
       e.dirty_gen = dirty_gen_counter_++;
       put_entry_record(&txn, key, &e);
     }
@@ -955,7 +957,7 @@ void DedupTier::post_process_write(const OsdOp& op, ReplyFn reply) {
 }
 
 void DedupTier::inline_write(const OsdOp& op, ReplyFn reply) {
-  const std::string oid = op.oid;
+  const ObjectName oid = op.oid;
   const ObjectKey key{pool_, oid};
   const uint64_t off = op.type == OsdOpType::kWriteFull ? 0 : op.off;
   const Buffer data = op.data;
@@ -975,10 +977,12 @@ void DedupTier::inline_write(const OsdOp& op, ReplyFn reply) {
   // -> put new -> next.  This serial, on-the-write-path processing is
   // exactly what Figure 5(a) measures.
   auto step = std::make_shared<std::function<void()>>();
+  // `finish` is copied into every step, so the move-only reply is shared.
+  auto shared_reply = std::make_shared<ReplyFn>(std::move(reply));
   auto finish = [this, key, oid, new_size, old_size,
-                 reply = std::move(reply)](Status s) {
+                 reply = shared_reply](Status s) {
     if (!s.is_ok()) {
-      reply(OsdOpReply{s, {}, 0, {}, nullptr});
+      (*reply)(OsdOpReply{s, {}, 0, {}, nullptr});
       return;
     }
     Transaction txn;
@@ -991,7 +995,7 @@ void DedupTier::inline_write(const OsdOp& op, ReplyFn reply) {
     perf_->inc(l_tier_meta_txns);
     osd_->submit_write(pool_, oid, std::move(txn),
                        [reply](Status s2) {
-                         reply(OsdOpReply{s2, {}, 0, {}, nullptr});
+                         (*reply)(OsdOpReply{s2, {}, 0, {}, nullptr});
                        },
                        /*foreground=*/true);
   };
@@ -1040,18 +1044,19 @@ void DedupTier::inline_write(const OsdOp& op, ReplyFn reply) {
           content,
           [this, c, clen, content, oid, step, finish,
            trace](const Fingerprint& fp) mutable {
-            const std::string new_id = fp.hex();
+            const ObjectName new_id = fp.hex();
             ChunkMapEntry& ent = cached_map(oid).obtain(c, clen);
             ent.length = clen;
-            const std::string old_id = ent.chunk_id;
+            const ObjectName old_id = ent.chunk_id;
             const ChunkRef ref{pool_, oid, c};
             auto commit = [this, oid, c, clen, new_id, step](Status) {
-              ChunkMapEntry& ent2 = cached_map(oid).obtain(c, clen);
+              ChunkMap& cm2 = cached_map(oid);
+              ChunkMapEntry& ent2 = cm2.obtain(c, clen);
               ent2.chunk_id = new_id;
               ent2.chunk_off = 0;
               ent2.container = false;
-              ent2.cached = false;
-              ent2.dirty = false;
+              cm2.set_cached(ent2, false);
+              cm2.set_dirty(ent2, false);
               bump_map_stamp();
               (*step)();
             };
@@ -1120,7 +1125,7 @@ void DedupTier::handle_read(const OsdOp& op, ReplyFn reply) {
 
 void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
                                     int attempt) {
-  const std::string oid = op.oid;
+  const ObjectName oid = op.oid;
   if (!osd_->local_exists(pool_, oid)) {
     reply(OsdOpReply{Status::not_found(oid), {}, 0, {}, nullptr});
     return;
@@ -1185,7 +1190,7 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
     bool merge_local;  // overlay newer local extents over remote content
     uint64_t begin;
     uint64_t end;
-    std::string chunk_oid;
+    ObjectName chunk_oid;
     uint64_t chunk_off;  // offset within the chunk object
   };
   std::vector<Segment> segs;
@@ -1343,7 +1348,7 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
 
 void DedupTier::handle_remove(const OsdOp& op, ReplyFn reply) {
   perf_->inc(l_tier_removes);
-  const std::string oid = op.oid;
+  const ObjectName oid = op.oid;
   if (!osd_->local_exists(pool_, oid)) {
     reply(OsdOpReply{Status::not_found(oid), {}, 0, {}, nullptr});
     return;
@@ -1439,7 +1444,7 @@ bool DedupTier::launch_one(const std::shared_ptr<TickState>& st) {
   }
 
   if (!promote_queue_.empty()) {
-    const std::string oid = promote_queue_.front();
+    const ObjectName oid = promote_queue_.front();
     promote_queue_.pop_front();
     promote_set_.erase(oid);
     st->budget--;
@@ -1453,7 +1458,7 @@ bool DedupTier::launch_one(const std::shared_ptr<TickState>& st) {
   size_t scanned = 0;
   const size_t limit = dirty_list_.size();
   while (!dirty_list_.empty() && scanned <= limit) {
-    const std::string oid = dirty_list_.front();
+    const ObjectName oid = dirty_list_.front();
     if (!dirty_set_.count(oid)) {
       dirty_list_.pop_front();
       continue;
@@ -1505,10 +1510,7 @@ bool DedupTier::launch_one(const std::shared_ptr<TickState>& st) {
     inflight_oids_.insert(oid);
     // Charge the tick budget per chunk, capped so one object cannot hog
     // the whole tick while others wait.
-    int n_dirty = 0;
-    for (const auto& [eoff, e] : cached_map(oid).entries()) {
-      if (e.dirty) n_dirty++;
-    }
+    const int n_dirty = static_cast<int>(cached_map(oid).dirty_count());
     const int chunk_budget = std::clamp(n_dirty, 1, std::min(st->budget, 32));
     st->budget -= chunk_budget;
     st->inflight++;
@@ -1529,7 +1531,7 @@ bool DedupTier::launch_one(const std::shared_ptr<TickState>& st) {
   // Selective-rewrite queue, after the dirty backlog: defragmentation is
   // strictly lower priority than getting dirty data deduplicated.
   while (!rewrite_queue_.empty()) {
-    const std::string oid = rewrite_queue_.front();
+    const ObjectName oid = rewrite_queue_.front();
     rewrite_queue_.pop_front();
     if (!rewrite_set_.erase(oid)) continue;  // cancelled (remove/forget)
     if (!osd_->local_exists(pool_, oid) || is_dirty(oid) ||
@@ -1548,7 +1550,7 @@ bool DedupTier::launch_one(const std::shared_ptr<TickState>& st) {
   return false;
 }
 
-void DedupTier::flush_object(const std::string& oid, int max_chunks,
+void DedupTier::flush_object(const ObjectName& oid, int max_chunks,
                              std::function<void(bool)> done) {
   // Never read the data part while a client write to this object is still
   // applying — the context learns of dirtiness at submit time, the extents
@@ -1629,7 +1631,7 @@ void DedupTier::flush_object(const std::string& oid, int max_chunks,
   (*pump_chunks)();
 }
 
-void DedupTier::flush_chunk_at(const std::string& oid, uint64_t offset,
+void DedupTier::flush_chunk_at(const ObjectName& oid, uint64_t offset,
                                std::function<void()> done) {
   ChunkMap& cm = cached_map(oid);
   ChunkMapEntry* e = cm.find(offset);
@@ -1684,7 +1686,7 @@ void DedupTier::flush_chunk_at(const std::string& oid, uint64_t offset,
             // the merge base (the local extents overlaid below are a
             // superset of what it absorbed) instead of retrying a read that
             // can never succeed.
-            const std::string adopt = find_chunk_recording_ref(
+            const ObjectName adopt = find_chunk_recording_ref(
                 oid, entry.offset, entry.chunk_id);
             if (adopt.empty()) {
               done();  // transient (e.g. chunk primary down); later pass
@@ -1806,7 +1808,7 @@ void DedupTier::fingerprint_async(const Buffer& content,
       });
 }
 
-void DedupTier::run_flush_pipeline(const std::string& oid,
+void DedupTier::run_flush_pipeline(const ObjectName& oid,
                                    const ChunkMapEntry& entry, Buffer content,
                                    std::function<void()> done,
                                    obs::OpTraceRef trace) {
@@ -1815,7 +1817,7 @@ void DedupTier::run_flush_pipeline(const std::string& oid,
             content,
             [this, oid, entry, content, trace, done = std::move(done)](
                 const Fingerprint& fp) mutable {
-              std::string new_id = fp.hex();
+              ObjectName new_id = fp.hex();
 
               ChunkRef ref{pool_, oid, entry.offset};
 
@@ -1851,13 +1853,11 @@ void DedupTier::run_flush_pipeline(const std::string& oid,
                 }
               }
               // The put, the map update and the deref run once each, in
-              // that order, so they share one state and move, not copy,
-              // the OID, the entry (its 64-character chunk_id) and the
-              // new chunk's id.
+              // that order, so they share one state.
               struct Flush {
-                std::string oid;
+                ObjectName oid;
                 ChunkMapEntry entry;
-                std::string new_id;
+                ObjectName new_id;
                 ChunkRef ref;
                 obs::OpTraceRef trace;
                 std::function<void()> done;
@@ -1967,8 +1967,8 @@ void DedupTier::run_flush_pipeline(const std::string& oid,
   }
 }
 
-void DedupTier::finish_flush(const std::string& oid, uint64_t offset,
-                             const std::string& new_id, uint64_t snapshot_gen,
+void DedupTier::finish_flush(const ObjectName& oid, uint64_t offset,
+                             const ObjectName& new_id, uint64_t snapshot_gen,
                              bool was_noop, std::function<void()> done) {
   const ObjectKey key{pool_, oid};
   if (!osd_->local_exists(pool_, oid)) {
@@ -2010,9 +2010,9 @@ void DedupTier::finish_flush(const std::string& oid, uint64_t offset,
     // A client write landed mid-flush; the local data is newer than what
     // we pushed.  Keep the chunk dirty so the engine reprocesses it.
     perf_->inc(l_tier_racy_flushes);
-    e->dirty = true;
+    cm.set_dirty(*e, true);
   } else {
-    e->dirty = false;
+    cm.set_dirty(*e, false);
     const bool hot =
         cfg().cache_enabled && hitset_.is_hot(oid, sched().now());
     if (cfg().evict_after_flush && !hot) {
@@ -2020,7 +2020,7 @@ void DedupTier::finish_flush(const std::string& oid, uint64_t offset,
       // partial-dirty chunks drop the overlay bytes that just merged into
       // the chunk pool.
       if (e->cached) perf_->inc(l_tier_evictions);
-      e->cached = false;
+      cm.set_cached(*e, false);
       if (batch != nullptr) {
         // Batched cycle: the punch must land in the same transaction as
         // the record that clears `cached` (see MetaBatch::evicts), so it
@@ -2033,14 +2033,7 @@ void DedupTier::finish_flush(const std::string& oid, uint64_t offset,
         // but only metadata" (Figure 8, object 2): drop the data part
         // entirely.  Hole-punching cannot reclaim space on erasure-coded
         // pools (re-encoding densifies), but an empty object can.
-        bool any_local = false;
-        for (const auto& [eoff, ent] : cm.entries()) {
-          if (ent.cached || ent.dirty) {
-            any_local = true;
-            break;
-          }
-        }
-        if (!any_local) txn.truncate(key, 0);
+        if (!cm.any_local()) txn.truncate(key, 0);
       }
     }
   }
@@ -2082,10 +2075,10 @@ void DedupTier::enforce_cache_capacity() {
 
   // Walk victims coldest-first.  Objects without evictable bytes just
   // leave the recency list.
-  std::vector<std::string> order;
+  std::vector<ObjectName> order;
   for (const auto& [oid, unused] : cache_lru_) order.push_back(oid);
   for (auto it = order.rbegin(); it != order.rend() && total > cap; ++it) {
-    const std::string& oid = *it;
+    const ObjectName& oid = *it;
     auto mit = map_cache_.find(oid);
     if (mit == map_cache_.end() || !osd_->local_exists(pool_, oid)) {
       cache_lru_.erase(oid);
@@ -2098,7 +2091,7 @@ void DedupTier::enforce_cache_capacity() {
     bool any_local = false;
     for (auto& [off, e] : cm.entries()) {
       if (e.cached && !e.dirty && e.flushed()) {
-        e.cached = false;
+        cm.set_cached(e, false);
         txn.punch_hole(key, e.offset, e.length);
         put_entry_record(&txn, key, &e);
         reclaimed += e.length;
@@ -2118,12 +2111,12 @@ void DedupTier::enforce_cache_capacity() {
   }
 }
 
-void DedupTier::promote_object(const std::string& oid,
+void DedupTier::promote_object(const ObjectName& oid,
                                std::function<void()> done) {
   struct Target {
     uint64_t offset;
     uint32_t length;
-    std::string chunk_oid;
+    ObjectName chunk_oid;
     uint64_t chunk_off;
   };
   auto targets = std::make_shared<std::vector<Target>>();
@@ -2163,7 +2156,7 @@ void DedupTier::promote_object(const std::string& oid,
       if (e != nullptr && e->chunk_id == t.chunk_oid &&
           e->chunk_off == t.chunk_off && !e->dirty) {
         txn.write(key, t.offset, g->parts[i]);
-        e->cached = true;
+        cm.set_cached(*e, true);
         put_entry_record(&txn, key, e);
       }
     }
@@ -2214,7 +2207,7 @@ double DedupTier::fragmentation_of(const ChunkMap& cm) const {
   return static_cast<double>(extents) / static_cast<double>(chunks);
 }
 
-void DedupTier::maybe_enqueue_rewrite(const std::string& oid) {
+void DedupTier::maybe_enqueue_rewrite(const ObjectName& oid) {
   if (!cfg().restore_rewrite) return;
   if (rewrite_set_.count(oid) > 0) return;
   if (!osd_->local_exists(pool_, oid)) return;
@@ -2225,7 +2218,7 @@ void DedupTier::maybe_enqueue_rewrite(const std::string& oid) {
   rewrite_queue_.push_back(oid);
 }
 
-void DedupTier::rewrite_object(const std::string& oid,
+void DedupTier::rewrite_object(const ObjectName& oid,
                                std::function<void()> done) {
   if (!osd_->local_exists(pool_, oid) ||
       osd_->ctx().osdmap().primary(pool_, oid) != osd_->id() ||
@@ -2242,7 +2235,7 @@ void DedupTier::rewrite_object(const std::string& oid,
   struct Slot {
     uint64_t offset;
     uint32_t length;
-    std::string chunk_id;
+    ObjectName chunk_id;
     uint64_t chunk_off;
   };
   using Run = std::vector<Slot>;
@@ -2330,7 +2323,7 @@ void DedupTier::rewrite_object(const std::string& oid,
       fingerprint_async(
           content,
           [this, oid, run, content, step](const Fingerprint& fp) mutable {
-            const std::string cid = fp.hex();
+            const ObjectName cid = fp.hex();
             std::vector<ChunkRef> extras;
             extras.reserve(run.size() - 1);
             for (size_t i = 1; i < run.size(); i++) {
@@ -2348,7 +2341,7 @@ void DedupTier::rewrite_object(const std::string& oid,
               const ObjectKey key{pool_, oid};
               Transaction txn;
               auto derefs = std::make_shared<
-                  std::vector<std::pair<std::string, ChunkRef>>>();
+                  std::vector<std::pair<ObjectName, ChunkRef>>>();
               uint64_t cum = 0;
               for (const auto& sl : run) {
                 ChunkMapEntry* e = cm2.find(sl.offset);

@@ -178,10 +178,10 @@ class DedupTier : public TierService {
            pending_derefs_.size() + promote_queue_.size() +
            rewrite_queue_.size();
   }
-  bool object_busy(const std::string& oid) const override {
+  bool object_busy(const ObjectName& oid) const override {
     return is_dirty(oid) || pending_writes_.count(oid) > 0;
   }
-  void forget_object(const std::string& oid) override {
+  void forget_object(const ObjectName& oid) override {
     // In-flight markers and pending-write counters stay: their completions
     // are find()-based and clean up after themselves.
     dirty_set_.erase(oid);
@@ -221,8 +221,13 @@ class DedupTier : public TierService {
   // Rebuild volatile state (dirty list, chunk-map cache) from the local
   // store — the self-contained-object recovery path after a crash.
   void rebuild_dirty_list();
+  // Queue every local object whose persisted chunk map is dirty but which
+  // this tier does not track, dropping its cached map (recovery replaced
+  // the copy it came from).  Unlike rebuild_dirty_list it keeps all other
+  // volatile state, so it is safe on a running tier.
+  void rescan_dirty();
 
-  bool is_dirty(const std::string& oid) const {
+  bool is_dirty(const ObjectName& oid) const {
     return dirty_set_.count(oid) > 0 || inflight_oids_.count(oid) > 0;
   }
 
@@ -236,15 +241,15 @@ class DedupTier : public TierService {
   Scheduler& sched() { return osd_->ctx().sched(); }
 
   // -- object context (authoritative in-memory chunk map on the primary) --
-  ChunkMap& cached_map(const std::string& oid);
-  const ChunkMap* cached_map_if_loaded(const std::string& oid) const;
+  ChunkMap& cached_map(const ObjectName& oid);
+  const ChunkMap* cached_map_if_loaded(const ObjectName& oid) const;
   // Copy the bytes of local extents overlapping [off, off+buf->size())
   // over `buf` (newest data wins when merging with chunk-pool content).
-  void overlay_local(const std::string& oid, uint64_t off, Buffer* buf) const;
-  void drop_context(const std::string& oid) { map_cache_.erase(oid); }
+  void overlay_local(const ObjectName& oid, uint64_t off, Buffer* buf) const;
+  void drop_context(const ObjectName& oid) { map_cache_.erase(oid); }
 
-  uint64_t logical_size(const std::string& oid) const;
-  void mark_dirty(const std::string& oid);
+  uint64_t logical_size(const ObjectName& oid) const;
+  void mark_dirty(const ObjectName& oid);
 
   // -- write path --
   void post_process_write(const OsdOp& op, ReplyFn reply);
@@ -252,23 +257,23 @@ class DedupTier : public TierService {
   void inline_write(const OsdOp& op, ReplyFn reply);
   // Chunk-pool RPC helpers.  Each records its round-trip latency histogram
   // and, when a trace rides along, brackets itself in a named span.
-  void read_chunk_from_pool(const std::string& chunk_oid, uint64_t off,
+  void read_chunk_from_pool(const ObjectName& chunk_oid, uint64_t off,
                             uint64_t len, bool foreground,
                             std::function<void(Result<Buffer>)> done,
                             obs::OpTraceRef trace = nullptr);
-  void send_chunk_put(const std::string& chunk_oid, Buffer data,
+  void send_chunk_put(const ObjectName& chunk_oid, Buffer data,
                       const ChunkRef& ref, bool foreground,
                       std::function<void(Status)> done,
                       obs::OpTraceRef trace = nullptr,
                       std::vector<ChunkRef> extra_refs = {});
-  void send_chunk_deref(const std::string& chunk_oid, const ChunkRef& ref,
+  void send_chunk_deref(const ObjectName& chunk_oid, const ChunkRef& ref,
                         bool foreground, std::function<void(Status)> done,
                         obs::OpTraceRef trace = nullptr);
   // Find a chunk-pool object (other than `not_this`) whose refs xattr
   // records this entry; used to re-base a redo flush whose superseded
   // chunk was reclaimed (see flush_chunk_at).
-  std::string find_chunk_recording_ref(const std::string& oid, uint64_t offset,
-                                       const std::string& not_this) const;
+  ObjectName find_chunk_recording_ref(const ObjectName& oid, uint64_t offset,
+                                      const ObjectName& not_this) const;
 
   // -- engine --
   struct TickState {
@@ -282,18 +287,18 @@ class DedupTier : public TierService {
 
   // Flush up to `max_chunks` dirty chunks of one object, several in
   // flight; done(any_left) reports whether dirty chunks remain.
-  void flush_object(const std::string& oid, int max_chunks,
+  void flush_object(const ObjectName& oid, int max_chunks,
                     std::function<void(bool any_left)> done);
-  void flush_chunk_at(const std::string& oid, uint64_t offset,
+  void flush_chunk_at(const ObjectName& oid, uint64_t offset,
                       std::function<void()> done);
   // fingerprint -> deref old -> put new -> finish, for resolved content.
-  void run_flush_pipeline(const std::string& oid, const ChunkMapEntry& entry,
+  void run_flush_pipeline(const ObjectName& oid, const ChunkMapEntry& entry,
                           Buffer content, std::function<void()> done,
                           obs::OpTraceRef trace = nullptr);
-  void finish_flush(const std::string& oid, uint64_t offset,
-                    const std::string& new_id, uint64_t snapshot_gen,
+  void finish_flush(const ObjectName& oid, uint64_t offset,
+                    const ObjectName& new_id, uint64_t snapshot_gen,
                     bool was_noop, std::function<void()> done);
-  void promote_object(const std::string& oid, std::function<void()> done);
+  void promote_object(const ObjectName& oid, std::function<void()> done);
 
   // -- fragmentation-aware restore path --
   // Forward-assembly window: a per-object sequential-read detector that,
@@ -325,11 +330,11 @@ class DedupTier : public TierService {
   double fragmentation_of(const ChunkMap& cm) const;
   // After an object flushes fully clean: queue it for selective rewrite
   // if restore_rewrite is on and fragmentation exceeds the threshold.
-  void maybe_enqueue_rewrite(const std::string& oid);
+  void maybe_enqueue_rewrite(const ObjectName& oid);
   // Coalesce runs of adjacent cold flushed chunks into fresh contiguous
   // container objects (one put carrying one ref per slot), then swap the
   // map entries and deref the old chunks via pending_derefs_.
-  void rewrite_object(const std::string& oid, std::function<void()> done);
+  void rewrite_object(const ObjectName& oid, std::function<void()> done);
 
   // -- recipe metadata dedup (dedup/recipe.h) --
   bool recipe_on() const { return osd_->ctx().recipe_dedup(); }
@@ -357,7 +362,7 @@ class DedupTier : public TierService {
   // only after the batch applies).
   struct MetaBatch {
     Transaction txn;
-    std::vector<std::pair<std::string, ChunkRef>> derefs;
+    std::vector<std::pair<ObjectName, ChunkRef>> derefs;
     // Slots whose clean post-flush state is not yet persisted:
     // finish_flush defers the inline record so the compactor can absorb
     // the slot into a recipe instead of writing it (the common case costs
@@ -373,37 +378,37 @@ class DedupTier : public TierService {
     // the slot mid-cycle cancels its eviction.
     std::set<uint64_t> evicts;
   };
-  MetaBatch* meta_batch(const std::string& oid) {
+  MetaBatch* meta_batch(const ObjectName& oid) {
     auto it = meta_batches_.find(oid);
     return it == meta_batches_.end() ? nullptr : &it->second;
   }
   // Queue a deref into the open batch for `oid`, or straight into
   // pending_derefs_ when no batch is open (foreground paths).
-  void queue_deferred_deref(const std::string& oid,
-                            const std::string& chunk_id, const ChunkRef& ref);
+  void queue_deferred_deref(const ObjectName& oid,
+                            const ObjectName& chunk_id, const ChunkRef& ref);
   // Stage inline records for the batch-pending slots among `members`
   // (windows the compactor could not absorb fall back to per-slot form).
-  void persist_pending_slots(const std::string& oid,
+  void persist_pending_slots(const ObjectName& oid,
                              const std::vector<uint64_t>& members);
   // Windowed recipe compaction with hysteresis: stage new/changed recipe
   // records (and drop absorbed inline shadows) into the batch, putting
   // any new recipe chunks first.  Calls done when all puts completed.
-  void compact_recipes(const std::string& oid, std::function<void()> done);
+  void compact_recipes(const ObjectName& oid, std::function<void()> done);
   // Apply the object's batched metadata transaction, then release its
   // queued derefs and report `any_dirty` through done.
-  void apply_meta_batch(const std::string& oid, bool any_dirty,
+  void apply_meta_batch(const ObjectName& oid, bool any_dirty,
                         std::function<void(bool)> done);
   // Drop every recipe record of `oid` (staging omap_rms into `txn`) and
   // queue derefs of the recipe chunks; the caller must re-inline any
   // surviving entries.  Used by write_full truncation and remove.
-  void break_recipes(const std::string& oid, ChunkMap* cm, Transaction* txn);
+  void break_recipes(const ObjectName& oid, ChunkMap* cm, Transaction* txn);
 
   // Section 4.3's LRU cache manager: when cache_capacity_bytes is set,
   // evict the coldest objects' clean cached chunks until under the cap.
   void enforce_cache_capacity();
-  void touch_cache_lru(const std::string& oid) { cache_lru_.put(oid, 0); }
+  void touch_cache_lru(const ObjectName& oid) { cache_lru_.put(oid, 0); }
 
-  bool fail_at(FailurePoint p, const std::string& oid);
+  bool fail_at(FailurePoint p, const ObjectName& oid);
 
   // Fingerprint a chunk's content under the costed CPU model and deliver
   // the result.  Probes the node's fingerprint index by weak hash before
@@ -424,29 +429,29 @@ class DedupTier : public TierService {
   RateController rate_;
   obs::PerfCountersRef perf_;
 
-  std::unordered_map<std::string, ChunkMap> map_cache_;
+  std::unordered_map<ObjectName, ChunkMap> map_cache_;
   uint64_t dirty_gen_counter_ = 1;
   // Client writes whose data transaction has not yet applied everywhere;
   // the engine must not read an object's data part before the write that
   // dirtied it is durable (the cache learns of dirtiness at submit time).
-  std::unordered_map<std::string, int> pending_writes_;
+  std::unordered_map<ObjectName, int> pending_writes_;
 
-  LruMap<std::string, int> cache_lru_{1 << 20};  // recency of cached objects
+  LruMap<ObjectName, int> cache_lru_{1 << 20};  // recency of cached objects
 
-  std::deque<std::string> dirty_list_;
-  std::unordered_set<std::string> dirty_set_;
-  std::unordered_set<std::string> inflight_oids_;
-  std::deque<std::pair<std::string, ChunkRef>> pending_derefs_;
-  std::deque<std::string> promote_queue_;
-  std::unordered_set<std::string> promote_set_;
+  std::deque<ObjectName> dirty_list_;
+  std::unordered_set<ObjectName> dirty_set_;
+  std::unordered_set<ObjectName> inflight_oids_;
+  std::deque<std::pair<ObjectName, ChunkRef>> pending_derefs_;
+  std::deque<ObjectName> promote_queue_;
+  std::unordered_set<ObjectName> promote_set_;
   // Restore path: per-object assembly windows, the map-mutation stamp
   // that invalidates their plans, and the selective-rewrite queue.
-  std::unordered_map<std::string, AssemblyWindow> asm_windows_;
+  std::unordered_map<ObjectName, AssemblyWindow> asm_windows_;
   uint64_t map_mutation_stamp_ = 1;
-  std::deque<std::string> rewrite_queue_;
-  std::unordered_set<std::string> rewrite_set_;
+  std::deque<ObjectName> rewrite_queue_;
+  std::unordered_set<ObjectName> rewrite_set_;
   // Recipe mode: per-object open metadata batches (one flush cycle each).
-  std::unordered_map<std::string, MetaBatch> meta_batches_;
+  std::unordered_map<ObjectName, MetaBatch> meta_batches_;
 
   FailureHook failure_hook_;
   WeakHashHook weak_hash_hook_;

@@ -84,7 +84,9 @@ Result<std::vector<ChunkRef>> decode_refs(const Buffer& b) {
     uint32_t pool = 0;
     if (auto s = d.get_u32(&pool); !s.is_ok()) return s;
     r.pool = static_cast<PoolId>(pool);
-    if (auto s = d.get_string(&r.oid); !s.is_ok()) return s;
+    std::string oid;
+    if (auto s = d.get_string(&oid); !s.is_ok()) return s;
+    r.oid = std::move(oid);
     if (auto s = d.get_u64(&r.offset); !s.is_ok()) return s;
     refs.push_back(std::move(r));
   }

@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/inline_function.h"
+#include "common/object_name.h"
 #include "common/status.h"
 #include "osd/object_store.h"
 
@@ -48,7 +50,7 @@ std::string_view osd_op_type_name(OsdOpType t);
 // reference information: pool id, source object ID, offset).
 struct ChunkRef {
   PoolId pool = -1;
-  std::string oid;
+  ObjectName oid;
   uint64_t offset = 0;
 
   bool operator==(const ChunkRef& o) const {
@@ -75,7 +77,7 @@ Result<std::vector<ChunkRef>> decode_refs(const Buffer& b);
 struct OsdOp {
   OsdOpType type = OsdOpType::kRead;
   PoolId pool = -1;
-  std::string oid;
+  ObjectName oid;
   uint64_t off = 0;
   uint64_t len = 0;
   Buffer data;
@@ -126,7 +128,14 @@ struct OsdOpReply {
   uint64_t wire_bytes() const;
 };
 
-using ReplyFn = std::function<void(OsdOpReply)>;
+// A reply continuation runs once, so it is move-only and keeps captures of
+// up to 64 bytes inline: the hop record of send_osd_op, a fanout barrier,
+// a tier continuation of a few pointers and a Status callback.
+using ReplyFn = InlineFunction<void(OsdOpReply), 64>;
+// Completion of an OSD-coordinated write or remove (Osd::submit_write) and
+// of a read through the pool's redundancy (Osd::submit_read).
+using StatusFn = InlineFunction<void(Status), 64>;
+using ReadFn = InlineFunction<void(Result<Buffer>), 64>;
 
 uint64_t object_state_bytes(const ObjectState& st);
 

@@ -73,16 +73,22 @@ Buffer ExtentMap::read(uint64_t off, uint64_t len) const {
     return it->second.slice(off - it->first, len);
   }
 
-  Buffer out(len);  // zero-filled
+  // Extents are copied over fresh storage and only the holes between
+  // them are zeroed, so every byte is written once.
+  Buffer out = Buffer::for_overwrite(len);
   uint8_t* dst = out.mutable_data();
+  uint64_t cursor = off;  // first byte not yet written
   for (; it != extents_.end() && it->first < end; ++it) {
     const uint64_t estart = it->first;
     const uint64_t eend = estart + it->second.size();
     const uint64_t cs = std::max(off, estart);
     const uint64_t ce = std::min(end, eend);
     if (cs >= ce) continue;
+    if (cs > cursor) std::memset(dst + (cursor - off), 0, cs - cursor);
     std::memcpy(dst + (cs - off), it->second.data() + (cs - estart), ce - cs);
+    cursor = ce;
   }
+  if (end > cursor) std::memset(dst + (cursor - off), 0, end - cursor);
   return out;
 }
 
@@ -412,12 +418,6 @@ std::vector<std::pair<std::string, Buffer>> ObjectStore::omap_list(
 }
 
 const ObjectState* ObjectStore::find(const ObjectKey& k) const {
-  MaybeSharedLock g(mu_);
-  auto it = objects_.find(k);
-  return it == objects_.end() ? nullptr : &it->second;
-}
-
-const ObjectState* ObjectStore::find_prehashed(const PrehashedKey& k) const {
   MaybeSharedLock g(mu_);
   auto it = objects_.find(k);
   return it == objects_.end() ? nullptr : &it->second;

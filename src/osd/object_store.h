@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/object_name.h"
 #include "common/status.h"
 #include "sim/scheduler.h"  // MaybeSharedLock / MaybeUniqueLock
 
@@ -37,7 +38,7 @@ constexpr uint64_t kPerObjectBaseBytes = 512;
 
 struct ObjectKey {
   PoolId pool = -1;
-  std::string oid;
+  ObjectName oid;
 
   bool operator<(const ObjectKey& o) const {
     if (pool != o.pool) return pool < o.pool;
@@ -49,48 +50,18 @@ struct ObjectKey {
 };
 
 // The one ObjectKey hash, shared by the store index and the refs cache.
-// std::hash gives a string_view the same value as the equal string, so a
-// borrowed OID hashes like an owned one.
-inline size_t object_key_hash(PoolId pool, std::string_view oid) {
-  return std::hash<std::string_view>{}(oid) * 0x9e3779b97f4a7c15ULL +
-         static_cast<size_t>(pool);
+// The name carries its hash, so hashing a key reads one word.
+inline size_t object_key_hash(PoolId pool, const ObjectName& oid) {
+  return oid.hash() * 0x9e3779b97f4a7c15ULL + static_cast<size_t>(pool);
 }
 
-// A borrowed key with its hash computed once: a lookup that copies no OID,
-// and a probe of every OSD's store for one key at the cost of one hash.
-// The OID must outlive the probe.
-struct PrehashedKey {
-  PrehashedKey(PoolId p, std::string_view o)
-      : pool(p), oid(o), hash(object_key_hash(p, o)) {}
-  explicit PrehashedKey(const ObjectKey& k) : PrehashedKey(k.pool, k.oid) {}
-
-  PoolId pool;
-  std::string_view oid;
-  size_t hash;
-};
-
-// The ObjectKey overload is deliberately not noexcept: libstdc++ keeps
-// each node's hash code only for hashers that may throw, and without the
-// cached codes every bucket walk re-hashes the 64-character fingerprint
-// OID of each node it passes.  object_store.cc asserts this.
+// Deliberately not noexcept: libstdc++ keeps each node's hash code only
+// for hashers that may throw, and with the cached codes a bucket walk
+// compares stored words instead of following each node's name pointer.
+// object_store.cc asserts this.
 struct ObjectKeyHash {
-  using is_transparent = void;
   size_t operator()(const ObjectKey& k) const {
     return object_key_hash(k.pool, k.oid);
-  }
-  size_t operator()(const PrehashedKey& k) const noexcept { return k.hash; }
-};
-
-struct ObjectKeyEq {
-  using is_transparent = void;
-  bool operator()(const ObjectKey& a, const ObjectKey& b) const {
-    return a == b;
-  }
-  bool operator()(const PrehashedKey& a, const ObjectKey& b) const {
-    return a.pool == b.pool && a.oid == b.oid;
-  }
-  bool operator()(const ObjectKey& a, const PrehashedKey& b) const {
-    return (*this)(b, a);
   }
 };
 
@@ -240,7 +211,6 @@ class ObjectStore {
   // Returned pointers stay valid until that object is removed or
   // replaced; inserting other objects never moves one.
   const ObjectState* find(const ObjectKey& k) const;
-  const ObjectState* find_prehashed(const PrehashedKey& k) const;
 
   // Full-state snapshot / install, used by recovery push/pull.
   Result<ObjectState> snapshot(const ObjectKey& k) const;
@@ -278,8 +248,7 @@ class ObjectStore {
   mutable std::shared_mutex mu_;
   // Hash-indexed: the data path looks objects up by 64-character
   // fingerprint OIDs, where a tree walk pays a string compare per level.
-  std::unordered_map<ObjectKey, ObjectState, ObjectKeyHash, ObjectKeyEq>
-      objects_;
+  std::unordered_map<ObjectKey, ObjectState, ObjectKeyHash> objects_;
 };
 
 }  // namespace gdedup

@@ -32,7 +32,7 @@ Result<uint64_t> decode_u64(const Buffer& b) {
 struct Barrier {
   int remaining;
   Status worst;
-  std::function<void(Status)> done;
+  StatusFn done;
 
   void arrive(Status s) {
     if (!s.is_ok() && worst.is_ok()) worst = s;
@@ -86,7 +86,7 @@ Osd::Osd(ClusterContext* ctx, OsdId id, NodeId node, const SsdConfig& disk_cfg)
   if (auto* reg = ctx_->perf_registry()) reg->add(perf_);
 }
 
-bool Osd::fail_at(OsdFailurePoint p, PoolId pool, const std::string& oid) {
+bool Osd::fail_at(OsdFailurePoint p, PoolId pool, const ObjectName& oid) {
   // Only fault campaigns arm a hook; build its key only then.
   if (!failure_hook_ || !failure_hook_(p, ObjectKey{pool, oid})) return false;
   injected_crashes_++;
@@ -104,7 +104,7 @@ void Osd::reset_volatile() {
   // The live queues are empty immediately.  The parked ops are buried by
   // a zero-delay event after the stack unwinds, scheduled whenever any
   // object was busy.
-  auto graveyard = std::make_shared<std::vector<std::function<void()>>>();
+  auto graveyard = std::make_shared<std::vector<OpQueue::Parked>>();
   const bool chunk_busy = chunk_op_queue_.reset(graveyard.get());
   const bool ec_busy = ec_write_queue_.reset(graveyard.get());
   if (chunk_busy || ec_busy) {
@@ -140,28 +140,51 @@ TierService* Osd::tier(PoolId pool) {
   return it == tiers_.end() ? nullptr : it->second.get();
 }
 
-Result<Buffer> Osd::local_getxattr(PoolId pool, const std::string& oid,
+Result<Buffer> Osd::local_getxattr(PoolId pool, const ObjectName& oid,
                                    const std::string& name) const {
   const ObjectStore* st = store_if_exists(pool);
   if (st == nullptr) return Status::not_found(oid);
   return st->getxattr({pool, oid}, name);
 }
 
-bool Osd::local_exists(PoolId pool, const std::string& oid) const {
+bool Osd::local_exists(PoolId pool, const ObjectName& oid) const {
   const ObjectStore* st = store_if_exists(pool);
-  return st != nullptr &&
-         st->find_prehashed(PrehashedKey(pool, oid)) != nullptr;
+  return st != nullptr && st->find({pool, oid}) != nullptr;
 }
 
-void Osd::handle_op(OsdOp op, ReplyFn reply) {
+namespace {
+
+// The reply wrapper of a hop: send `rep` back to the sender's node, where
+// the hop's continuation gets it.
+void send_reply(std::unique_ptr<OsdOpHop> hop, OsdOpReply rep) {
+  const uint64_t rep_bytes = rep.wire_bytes();
+  hop->rep = std::move(rep);
+  OsdOpHop* h = hop.get();
+  h->ctx->net().send(h->to, h->from, rep_bytes,
+                     [hop = std::move(hop)]() mutable {
+                       hop->cb(std::move(hop->rep));
+                     });
+}
+
+ReplyFn reply_wrapper(std::unique_ptr<OsdOpHop> hop) {
+  return [hop = std::move(hop)](OsdOpReply rep) mutable {
+    send_reply(std::move(hop), std::move(rep));
+  };
+}
+
+}  // namespace
+
+void Osd::handle_op(std::unique_ptr<OsdOpHop> hop) {
   if (!up_) {
     if (!drop_when_down_) {
-      ctx_->sched().after(usec(1), [reply] {
-        reply(OsdOpReply{Status::unavailable("osd down"), {}, 0, {}, nullptr});
+      ctx_->sched().after(usec(1), [hop = std::move(hop)]() mutable {
+        send_reply(std::move(hop), OsdOpReply{Status::unavailable("osd down"),
+                                              {}, 0, {}, nullptr});
       });
     }
     return;  // crashed: message silently lost
   }
+  const OsdOp& op = hop->op;
 
   // Request-processing CPU: fixed dispatch cost + checksumming of payload.
   // The virtual CRC cost has always been charged here; with a parallel
@@ -181,13 +204,14 @@ void Osd::handle_op(OsdOp op, ReplyFn reply) {
   }
   const SimTime cost =
       cpu().op_fixed_cost() + cpu().crc_cost(op.data.size());
-  cpu().execute(cost, [this, op = std::move(op), crc = std::move(crc),
-                       reply = std::move(reply)]() mutable {
+  cpu().execute(cost, [this, hop = std::move(hop),
+                       crc = std::move(crc)]() mutable {
+    OsdOp op = std::move(hop->op);
     if (crc.valid()) {
       op.payload_crc = crc.take();
       op.has_payload_crc = true;
     }
-    dispatch(std::move(op), std::move(reply));
+    dispatch(std::move(op), reply_wrapper(std::move(hop)));
   });
 }
 
@@ -378,10 +402,9 @@ void Osd::handle_sub_write(const OsdOp& op, ReplyFn reply) {
 }
 
 void Osd::handle_shard_read(const OsdOp& op, ReplyFn reply) {
-  // One index probe, no key copy.  The shard's state is read in place,
-  // as local_exists reads it.
-  const ObjectState* st =
-      store(op.pool).find_prehashed(PrehashedKey(op.pool, op.oid));
+  // One index probe; the shard's state is read in place, as local_exists
+  // reads it.
+  const ObjectState* st = store(op.pool).find({op.pool, op.oid});
   if (st == nullptr) {
     reply(OsdOpReply{Status::not_found(op.oid), {}, 0, {}, nullptr});
     return;
@@ -449,7 +472,7 @@ void Osd::handle_chunk_deref(const OsdOp& op, ReplyFn reply) {
 
 void Osd::run_chunk_op(const OsdOp& op, ReplyFn reply,
                        void (Osd::*locked)(const OsdOp&, ReplyFn)) {
-  const PrehashedKey key(op.pool, op.oid);
+  const ObjectKey key{op.pool, op.oid};
   if (chunk_op_queue_.try_acquire(key)) {
     (this->*locked)(op, std::move(reply));
     return;
@@ -461,46 +484,42 @@ void Osd::run_chunk_op(const OsdOp& op, ReplyFn reply,
       });
 }
 
-Osd::OpQueue::Slot* Osd::OpQueue::find(const PrehashedKey& key) {
+Osd::OpQueue::Slot* Osd::OpQueue::find(const ObjectKey& key) {
   for (Slot& s : slots_) {
-    if (s.busy && s.hash == key.hash && s.pool == key.pool && s.oid == key.oid) {
-      return &s;
-    }
+    if (s.busy && s.key == key) return &s;
   }
   return nullptr;
 }
 
-bool Osd::OpQueue::try_acquire(const PrehashedKey& key) {
+bool Osd::OpQueue::try_acquire(const ObjectKey& key) {
   if (find(key) != nullptr) return false;
   auto it = std::find_if(slots_.begin(), slots_.end(),
                          [](const Slot& s) { return !s.busy; });
   Slot& s = it == slots_.end() ? slots_.emplace_back() : *it;
   s.busy = true;
-  s.hash = key.hash;
-  s.pool = key.pool;
-  s.oid.assign(key.oid);
+  s.key = key;
   return true;
 }
 
-void Osd::OpQueue::park(const PrehashedKey& key, std::function<void()> fn) {
+void Osd::OpQueue::park(const ObjectKey& key, Parked fn) {
   Slot* s = find(key);
   assert(s != nullptr);
   s->parked.push_back(std::move(fn));
 }
 
-std::function<void()> Osd::OpQueue::release(const PrehashedKey& key) {
+Osd::OpQueue::Parked Osd::OpQueue::release(const ObjectKey& key) {
   Slot* s = find(key);
   if (s == nullptr) return {};
   if (s->parked.empty()) {
     s->busy = false;
     return {};
   }
-  std::function<void()> next = std::move(s->parked.front());
+  Parked next = std::move(s->parked.front());
   s->parked.erase(s->parked.begin());
   return next;
 }
 
-bool Osd::OpQueue::reset(std::vector<std::function<void()>>* out) {
+bool Osd::OpQueue::reset(std::vector<Parked>* out) {
   bool any = false;
   for (Slot& s : slots_) {
     any = any || s.busy;
@@ -514,7 +533,7 @@ bool Osd::OpQueue::reset(std::vector<std::function<void()>>* out) {
 void Osd::finish_object_op(OpQueue& q, const ObjectKey& key) {
   // A crash resets the queues; an op that was in flight when it happened
   // may still complete afterwards and must find its key simply idle.
-  if (auto next = q.release(PrehashedKey(key))) {
+  if (auto next = q.release(key)) {
     // Defer to a fresh event so the stack unwinds.
     ctx_->sched().after(0, std::move(next));
   }
@@ -653,14 +672,12 @@ void Osd::chunk_put_ref_locked(const OsdOp& op, ReplyFn reply) {
   for (const auto& r : op.extra_refs) {
     if (std::find(refs.begin(), refs.end(), r) == refs.end()) refs.push_back(r);
   }
-  const PrehashedKey probe(key);
   for (OsdId pid : ctx_->osdmap().all_osds()) {
     if (pid == id_) continue;
     Osd* peer = ctx_->osd(pid);
     if (peer == nullptr || !peer->is_up()) continue;
     const ObjectStore* ps = peer->store_if_exists(op.pool);
-    const ObjectState* pst =
-        ps == nullptr ? nullptr : ps->find_prehashed(probe);
+    const ObjectState* pst = ps == nullptr ? nullptr : ps->find(key);
     if (pst == nullptr) continue;
     auto xit = pst->xattrs.find(kRefsXattr);
     if (xit == pst->xattrs.end()) continue;
@@ -722,8 +739,8 @@ void Osd::chunk_deref_locked(const OsdOp& op, ReplyFn reply) {
 
 // ----------------------------------------------------- redundancy engines
 
-void Osd::submit_write(PoolId pool, const std::string& oid, Transaction txn,
-                       std::function<void(Status)> done, bool foreground) {
+void Osd::submit_write(PoolId pool, const ObjectName& oid, Transaction txn,
+                       StatusFn done, bool foreground) {
   if (!up_ && drop_when_down_) {
     // Crashed process: nothing this OSD coordinates can make progress.
     ctx_->sched().after(0, [done = std::move(done)] {
@@ -739,9 +756,8 @@ void Osd::submit_write(PoolId pool, const std::string& oid, Transaction txn,
   }
 }
 
-void Osd::submit_read(PoolId pool, const std::string& oid, uint64_t off,
-                      uint64_t len, std::function<void(Result<Buffer>)> done,
-                      bool foreground) {
+void Osd::submit_read(PoolId pool, const ObjectName& oid, uint64_t off,
+                      uint64_t len, ReadFn done, bool foreground) {
   if (!up_ && drop_when_down_) {
     ctx_->sched().after(0, [done = std::move(done)] {
       done(Status::unavailable("osd crashed"));
@@ -767,16 +783,15 @@ void Osd::submit_read(PoolId pool, const std::string& oid, uint64_t off,
   ec_read(pool, oid, off, len, std::move(done), foreground);
 }
 
-void Osd::submit_remove(PoolId pool, const std::string& oid,
-                        std::function<void(Status)> done, bool foreground) {
+void Osd::submit_remove(PoolId pool, const ObjectName& oid, StatusFn done,
+                        bool foreground) {
   Transaction txn;
   txn.remove({pool, oid});
   submit_write(pool, oid, std::move(txn), std::move(done), foreground);
 }
 
-void Osd::replicated_write(PoolId pool, const std::string& oid,
-                           Transaction txn, std::function<void(Status)> done,
-                           bool foreground) {
+void Osd::replicated_write(PoolId pool, const ObjectName& oid,
+                           Transaction txn, StatusFn done, bool foreground) {
   if (fail_at(OsdFailurePoint::kBeforeReplicatedFanout, pool, oid)) {
     return;  // crashed: no replica ever sees this write
   }
@@ -790,13 +805,18 @@ void Osd::replicated_write(PoolId pool, const std::string& oid,
     return;
   }
 
-  auto barrier = std::make_shared<Barrier>();
-  barrier->remaining = static_cast<int>(acting.size());
-  barrier->done = std::move(done);
-
-  // One immutable transaction for the whole fanout: the local apply and
-  // every replica's sub-write share it.
-  auto shared_txn = std::make_shared<const Transaction>(std::move(txn));
+  // One allocation for the whole fanout: its barrier and the one
+  // immutable transaction that the local apply and every replica's
+  // sub-write share.
+  struct Fanout {
+    Barrier barrier;
+    Transaction txn;
+  };
+  auto fanout = std::make_shared<Fanout>(
+      Fanout{{static_cast<int>(acting.size()), Status(), std::move(done)},
+             std::move(txn)});
+  std::shared_ptr<Barrier> barrier(fanout, &fanout->barrier);
+  std::shared_ptr<const Transaction> shared_txn(fanout, &fanout->txn);
   for (OsdId target : acting) {
     if (target == id_) {
       local_apply(pool, shared_txn, [this, pool, oid, barrier](Status s) {
@@ -818,23 +838,22 @@ void Osd::replicated_write(PoolId pool, const std::string& oid,
   }
 }
 
-void Osd::ec_write(PoolId pool, const std::string& oid, Transaction txn,
-                   std::function<void(Status)> done, bool foreground) {
+void Osd::ec_write(PoolId pool, const ObjectName& oid, Transaction txn,
+                   StatusFn done, bool foreground) {
   // Serialize per object: a partial EC write reads, re-encodes and
   // rewrites the whole object — concurrent RMWs would lose updates and
   // each holds a full object image while in flight.
-  auto unlocking = [this, key = ObjectKey{pool, oid},
-                    done = std::move(done)](Status s) {
+  const ObjectKey key{pool, oid};
+  StatusFn unlocking = [this, key, done = std::move(done)](Status s) {
     done(s);
     finish_object_op(ec_write_queue_, key);
   };
-  const PrehashedKey pk(pool, oid);
-  if (ec_write_queue_.try_acquire(pk)) {
+  if (ec_write_queue_.try_acquire(key)) {
     ec_write_locked(pool, oid, std::move(txn), std::move(unlocking),
                     foreground);
     return;
   }
-  ec_write_queue_.park(pk, [this, pool, oid, txn = std::move(txn),
+  ec_write_queue_.park(key, [this, pool, oid, txn = std::move(txn),
                             unlocking = std::move(unlocking),
                             foreground]() mutable {
     ec_write_locked(pool, oid, std::move(txn), std::move(unlocking),
@@ -842,8 +861,8 @@ void Osd::ec_write(PoolId pool, const std::string& oid, Transaction txn,
   });
 }
 
-void Osd::ec_write_locked(PoolId pool, const std::string& oid, Transaction txn,
-                          std::function<void(Status)> done, bool foreground) {
+void Osd::ec_write_locked(PoolId pool, const ObjectName& oid, Transaction txn,
+                          StatusFn done, bool foreground) {
   const PoolConfig& cfg = ctx_->osdmap().pool(pool);
   // A copy: a data write broadcasts to the members it was admitted with,
   // after the encode cost has elapsed.
@@ -941,8 +960,7 @@ void Osd::ec_write_locked(PoolId pool, const std::string& oid, Transaction txn,
 
 void Osd::ec_encode_and_send(const ObjectKey& key, std::vector<OsdId> acting,
                              const Transaction& txn, ObjectState base,
-                             bool existed, std::function<void(Status)> done,
-                             bool foreground) {
+                             bool existed, StatusFn done, bool foreground) {
   bool exists = existed;
   if (auto s = ObjectStore::apply_to_state(txn, key, &base, &exists);
       !s.is_ok()) {
@@ -993,10 +1011,10 @@ void Osd::ec_encode_and_send(const ObjectKey& key, std::vector<OsdId> acting,
       });
 }
 
-void Osd::ec_broadcast(PoolId pool, const std::string& oid,
+void Osd::ec_broadcast(PoolId pool, const ObjectName& oid,
                        const std::vector<OsdId>& acting,
                        std::vector<std::shared_ptr<const Transaction>> txns,
-                       std::function<void(Status)> done, bool foreground) {
+                       StatusFn done, bool foreground) {
   auto barrier = std::make_shared<Barrier>();
   barrier->remaining = static_cast<int>(acting.size());
   barrier->done = std::move(done);
@@ -1017,9 +1035,8 @@ void Osd::ec_broadcast(PoolId pool, const std::string& oid,
   }
 }
 
-void Osd::ec_read(PoolId pool, const std::string& oid, uint64_t off,
-                  uint64_t len, std::function<void(Result<Buffer>)> done,
-                  bool foreground) {
+void Osd::ec_read(PoolId pool, const ObjectName& oid, uint64_t off,
+                  uint64_t len, ReadFn done, bool foreground) {
   const PoolConfig& cfg = ctx_->osdmap().pool(pool);
   auto acting = ctx_->osdmap().acting(pool, oid);
   const int k = cfg.ec_k;
@@ -1038,7 +1055,7 @@ void Osd::ec_read(PoolId pool, const std::string& oid, uint64_t off,
     int outstanding = 0;
     int successes = 0;
     bool reconstructed_needed = false;
-    std::function<void(Result<Buffer>)> done;
+    ReadFn done;
   };
   auto gs = std::make_shared<GatherState>();
   gs->shards.assign(static_cast<size_t>(k + m), std::nullopt);
@@ -1144,40 +1161,41 @@ void send_osd_op(ClusterContext& ctx, NodeId from_node, OsdId target, OsdOp op,
     });
     return;
   }
-  const NodeId tnode = ctx.node_of_osd(target);
-  const uint64_t req_bytes = op.wire_bytes();
-  ClusterContext* pctx = &ctx;
   if (const SimTime timeout = ctx.op_timeout(); timeout > 0) {
     // The reply races a timer; first arrival wins, the loser is dropped.
     // Needed for liveness once OSDs can crash (silently eating requests)
-    // or the fabric can lose messages.
-    auto fired = std::make_shared<bool>(false);
-    ReplyFn inner = std::move(cb);
-    cb = [fired, inner](OsdOpReply rep) {
-      if (*fired) return;
-      *fired = true;
-      inner(std::move(rep));
+    // or the fabric can lose messages.  Both sides share one state, and
+    // the winner moves the continuation out of it.
+    struct Race {
+      bool fired = false;
+      ReplyFn inner;
+      void finish(OsdOpReply rep) {
+        if (fired) return;
+        fired = true;
+        ReplyFn f = std::move(inner);
+        f(std::move(rep));
+      }
     };
-    ctx.sched().after_node(from_node, timeout, [cb] {
-      cb(OsdOpReply{Status::unavailable("osd op timed out"), {}, 0, {},
-                    nullptr});
+    auto race = std::make_shared<Race>();
+    race->inner = std::move(cb);
+    cb = [race](OsdOpReply rep) { race->finish(std::move(rep)); };
+    ctx.sched().after_node(from_node, timeout, [race] {
+      race->finish(OsdOpReply{Status::unavailable("osd op timed out"), {}, 0,
+                              {}, nullptr});
     });
   }
-  ctx.net().send(
-      from_node, tnode, req_bytes,
-      [pctx, osd, from_node, tnode, op = std::move(op), cb = std::move(cb)]() mutable {
-        // Each reply is sent once, so the callback moves into its
-        // delivery closure rather than being copied.
-        osd->handle_op(std::move(op), [pctx, from_node, tnode,
-                                       cb = std::move(cb)](
-                                          OsdOpReply rep) mutable {
-          const uint64_t rep_bytes = rep.wire_bytes();
-          pctx->net().send(tnode, from_node, rep_bytes,
-                           [cb = std::move(cb), rep = std::move(rep)]() mutable {
-                             cb(std::move(rep));
-                           });
-        });
-      });
+  const uint64_t req_bytes = op.wire_bytes();
+  auto hop = std::make_unique<OsdOpHop>();
+  hop->op = std::move(op);
+  hop->cb = std::move(cb);
+  hop->ctx = &ctx;
+  hop->from = from_node;
+  hop->to = ctx.node_of_osd(target);
+  const NodeId tnode = hop->to;
+  ctx.net().send(from_node, tnode, req_bytes,
+                 [osd, hop = std::move(hop)]() mutable {
+                   osd->handle_op(std::move(hop));
+                 });
 }
 
 }  // namespace gdedup

@@ -45,7 +45,7 @@ class TierService {
   // True while the tier holds volatile state for `oid` (dirty entry,
   // in-flight flush, or an unapplied client write).  GC uses this to defer
   // reclaiming chunks an open flush window is about to reference.
-  virtual bool object_busy(const std::string& oid) const {
+  virtual bool object_busy(const ObjectName& oid) const {
     (void)oid;
     return false;
   }
@@ -53,7 +53,7 @@ class TierService {
   // object's acting set): drop any volatile per-object state so a stale
   // dirty flag cannot keep the engine busy with an object it no longer
   // owns.
-  virtual void forget_object(const std::string& oid) { (void)oid; }
+  virtual void forget_object(const ObjectName& oid) { (void)oid; }
 };
 
 // Crash-injection points in the OSD's replication / recovery / chunk-verb
@@ -105,6 +105,8 @@ enum {
   l_osd_last,
 };
 
+struct OsdOpHop;  // below
+
 class Osd {
  public:
   Osd(ClusterContext* ctx, OsdId id, NodeId node, const SsdConfig& disk_cfg);
@@ -155,29 +157,29 @@ class Osd {
   void set_tier(PoolId pool, std::unique_ptr<TierService> tier);
   TierService* tier(PoolId pool);
 
-  // Entry point for ops delivered to this OSD (already at this node).
-  void handle_op(OsdOp op, ReplyFn reply);
+  // Entry point for an op delivered to this OSD by send_osd_op.  The hop
+  // record travels on through the CPU-cost completion and carries the
+  // reply back to the sender.
+  void handle_op(std::unique_ptr<OsdOpHop> hop);
 
   // ---- redundancy-aware primitives (this OSD coordinates) ----
 
   // Apply `txn` to object (pool, oid) across its acting set.
-  void submit_write(PoolId pool, const std::string& oid, Transaction txn,
-                    std::function<void(Status)> done, bool foreground = true);
+  void submit_write(PoolId pool, const ObjectName& oid, Transaction txn,
+                    StatusFn done, bool foreground = true);
 
   // Read object data through the pool's redundancy (local for replicated,
   // shard-gather for EC).  len == 0 reads to the end.
-  void submit_read(PoolId pool, const std::string& oid, uint64_t off,
-                   uint64_t len, std::function<void(Result<Buffer>)> done,
-                   bool foreground = true);
+  void submit_read(PoolId pool, const ObjectName& oid, uint64_t off,
+                   uint64_t len, ReadFn done, bool foreground = true);
 
-  void submit_remove(PoolId pool, const std::string& oid,
-                     std::function<void(Status)> done,
+  void submit_remove(PoolId pool, const ObjectName& oid, StatusFn done,
                      bool foreground = true);
 
   // ---- local (no I/O cost) helpers for tiers and tests ----
-  Result<Buffer> local_getxattr(PoolId pool, const std::string& oid,
+  Result<Buffer> local_getxattr(PoolId pool, const ObjectName& oid,
                                 const std::string& name) const;
-  bool local_exists(PoolId pool, const std::string& oid) const;
+  bool local_exists(PoolId pool, const ObjectName& oid) const;
 
   ClusterContext& ctx() { return *ctx_; }
 
@@ -187,7 +189,7 @@ class Osd {
   // Consult the armed failure hook; on true, self-crash (mark down with
   // silent-drop semantics, reset volatile queues) and report true so the
   // caller abandons the in-flight op.
-  bool fail_at(OsdFailurePoint p, PoolId pool, const std::string& oid);
+  bool fail_at(OsdFailurePoint p, PoolId pool, const ObjectName& oid);
 
   void dispatch(OsdOp op, ReplyFn reply);
 
@@ -234,35 +236,33 @@ class Osd {
   // Almost every op finds its object idle: it marks the object busy and
   // runs at once, in its caller's frame, so it is neither copied nor
   // boxed.  Only an op that finds its object busy is stored, as a closure
-  // parked behind the running one.  Busy objects live in recycled slots,
-  // so a warm queue allocates nothing per op: an OID is copied into a
-  // slot string that keeps its capacity (fingerprint OIDs all have one
-  // length).  Few objects are busy at once (at most 86 in one queue on
-  // the benchmark workloads), so slots are found by a scan of their
-  // stored hashes.
+  // parked behind the running one.  Busy objects live in recycled slots
+  // that hold a copy of the key (a refcount bump), so a warm queue
+  // allocates nothing per op.  Few objects are busy at once (at most 86
+  // in one queue on the benchmark workloads), so slots are found by a
+  // scan of their names' hashes.
   class OpQueue {
    public:
+    using Parked = Scheduler::Callback;
     // Mark `key` busy; true if it was idle (the caller runs its op now).
-    bool try_acquire(const PrehashedKey& key);
+    bool try_acquire(const ObjectKey& key);
     // Park `fn` behind the ops on the busy `key`.
-    void park(const PrehashedKey& key, std::function<void()> fn);
+    void park(const ObjectKey& key, Parked fn);
     // The op holding `key` is done: the next parked op, which now holds
     // the key, or an empty function once the key is idle.  An unknown key
     // (a crash reset the queue under an in-flight op) is ignored.
-    std::function<void()> release(const PrehashedKey& key);
+    Parked release(const ObjectKey& key);
     // Idle every key; the parked ops move to `out`.  True if any key was
     // busy.
-    bool reset(std::vector<std::function<void()>>* out);
+    bool reset(std::vector<Parked>* out);
 
    private:
     struct Slot {
       bool busy = false;
-      size_t hash = 0;
-      PoolId pool = -1;
-      std::string oid;
-      std::vector<std::function<void()>> parked;  // FIFO
+      ObjectKey key;
+      std::vector<Parked> parked;  // FIFO
     };
-    Slot* find(const PrehashedKey& key);
+    Slot* find(const ObjectKey& key);
     std::vector<Slot> slots_;
   };
   // Start the op parked next on `key`, or idle the key.
@@ -271,26 +271,25 @@ class Osd {
   void run_chunk_op(const OsdOp& op, ReplyFn reply,
                     void (Osd::*locked)(const OsdOp&, ReplyFn));
 
-  void replicated_write(PoolId pool, const std::string& oid, Transaction txn,
-                        std::function<void(Status)> done, bool foreground);
-  void ec_write(PoolId pool, const std::string& oid, Transaction txn,
-                std::function<void(Status)> done, bool foreground);
-  void ec_write_locked(PoolId pool, const std::string& oid, Transaction txn,
-                       std::function<void(Status)> done, bool foreground);
+  void replicated_write(PoolId pool, const ObjectName& oid, Transaction txn,
+                        StatusFn done, bool foreground);
+  void ec_write(PoolId pool, const ObjectName& oid, Transaction txn,
+                StatusFn done, bool foreground);
+  void ec_write_locked(PoolId pool, const ObjectName& oid, Transaction txn,
+                       StatusFn done, bool foreground);
   // Apply `txn` to the object image `base`, encode it and send each
   // member of `acting` its shard.
   void ec_encode_and_send(const ObjectKey& key, std::vector<OsdId> acting,
                           const Transaction& txn, ObjectState base,
-                          bool existed, std::function<void(Status)> done,
-                          bool foreground);
+                          bool existed, StatusFn done, bool foreground);
   // Apply txns[i] on acting[i] (a single txn on every member); `done`
   // gets the worst status.
-  void ec_broadcast(PoolId pool, const std::string& oid,
+  void ec_broadcast(PoolId pool, const ObjectName& oid,
                     const std::vector<OsdId>& acting,
                     std::vector<std::shared_ptr<const Transaction>> txns,
-                    std::function<void(Status)> done, bool foreground);
-  void ec_read(PoolId pool, const std::string& oid, uint64_t off, uint64_t len,
-               std::function<void(Result<Buffer>)> done, bool foreground);
+                    StatusFn done, bool foreground);
+  void ec_read(PoolId pool, const ObjectName& oid, uint64_t off, uint64_t len,
+               ReadFn done, bool foreground);
 
   // Apply a transaction locally: journal/disk write, then store apply,
   // then done(Status).  The transaction is shared with the fanout's other
@@ -322,6 +321,20 @@ class Osd {
   OsdFailureHook failure_hook_;
   uint64_t injected_crashes_ = 0;
   SlidingWindowCounter fg_window_{kSecond};
+};
+
+// One OSD message hop: the op, the sender's continuation and the reply on
+// its way back, in one heap record that the network delivery, the CPU-cost
+// completion, the reply wrapper and the reply delivery pass on by move.  An
+// event dropped on the way (a crash, a lost message, a timeout that won)
+// destroys it.
+struct OsdOpHop {
+  OsdOp op;
+  ReplyFn cb;  // runs on the sender's node
+  ClusterContext* ctx = nullptr;
+  NodeId from = 0;  // sender's node
+  NodeId to = 0;    // target OSD's node
+  OsdOpReply rep;
 };
 
 // Route an op from `from_node` to `target`'s node, run it there, and route

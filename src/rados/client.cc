@@ -85,7 +85,7 @@ void RadosClient::submit(OsdOp op, ReplyFn cb) {
   send_osd_op(*ctx_, node_, primary, std::move(op), std::move(cb));
 }
 
-void RadosClient::write(PoolId pool, std::string oid, uint64_t off,
+void RadosClient::write(PoolId pool, ObjectName oid, uint64_t off,
                         Buffer data, std::function<void(Status)> cb) {
   OsdOp op;
   op.type = OsdOpType::kWrite;
@@ -98,7 +98,7 @@ void RadosClient::write(PoolId pool, std::string oid, uint64_t off,
          [cb = std::move(cb)](OsdOpReply rep) { cb(rep.status); });
 }
 
-void RadosClient::write_full(PoolId pool, std::string oid, Buffer data,
+void RadosClient::write_full(PoolId pool, ObjectName oid, Buffer data,
                              std::function<void(Status)> cb) {
   OsdOp op;
   op.type = OsdOpType::kWriteFull;
@@ -110,7 +110,7 @@ void RadosClient::write_full(PoolId pool, std::string oid, Buffer data,
          [cb = std::move(cb)](OsdOpReply rep) { cb(rep.status); });
 }
 
-void RadosClient::read(PoolId pool, std::string oid, uint64_t off,
+void RadosClient::read(PoolId pool, ObjectName oid, uint64_t off,
                        uint64_t len, std::function<void(Result<Buffer>)> cb) {
   OsdOp op;
   op.type = OsdOpType::kRead;
@@ -127,22 +127,22 @@ void RadosClient::read(PoolId pool, std::string oid, uint64_t off,
   });
 }
 
-void RadosClient::remove(PoolId pool, const std::string& oid,
+void RadosClient::remove(PoolId pool, ObjectName oid,
                          std::function<void(Status)> cb) {
   OsdOp op;
   op.type = OsdOpType::kRemove;
   op.pool = pool;
-  op.oid = oid;
+  op.oid = std::move(oid);
   submit(std::move(op),
          [cb = std::move(cb)](OsdOpReply rep) { cb(rep.status); });
 }
 
-void RadosClient::stat(PoolId pool, const std::string& oid,
+void RadosClient::stat(PoolId pool, ObjectName oid,
                        std::function<void(Result<uint64_t>)> cb) {
   OsdOp op;
   op.type = OsdOpType::kStat;
   op.pool = pool;
-  op.oid = oid;
+  op.oid = std::move(oid);
   submit(std::move(op), [cb = std::move(cb)](OsdOpReply rep) {
     if (!rep.status.is_ok()) {
       cb(rep.status);
@@ -152,13 +152,13 @@ void RadosClient::stat(PoolId pool, const std::string& oid,
   });
 }
 
-void RadosClient::getxattr(PoolId pool, const std::string& oid,
+void RadosClient::getxattr(PoolId pool, ObjectName oid,
                            const std::string& name,
                            std::function<void(Result<Buffer>)> cb) {
   OsdOp op;
   op.type = OsdOpType::kGetXattr;
   op.pool = pool;
-  op.oid = oid;
+  op.oid = std::move(oid);
   op.name = name;
   submit(std::move(op), [cb = std::move(cb)](OsdOpReply rep) {
     if (!rep.status.is_ok()) {
@@ -169,13 +169,13 @@ void RadosClient::getxattr(PoolId pool, const std::string& oid,
   });
 }
 
-void RadosClient::setxattr(PoolId pool, const std::string& oid,
+void RadosClient::setxattr(PoolId pool, ObjectName oid,
                            const std::string& name, Buffer value,
                            std::function<void(Status)> cb) {
   OsdOp op;
   op.type = OsdOpType::kSetXattr;
   op.pool = pool;
-  op.oid = oid;
+  op.oid = std::move(oid);
   op.name = name;
   op.data = std::move(value);
   submit(std::move(op),
@@ -193,14 +193,21 @@ BlockDevice::BlockDevice(RadosClient* client, PoolId pool,
       size_(size_bytes),
       object_size_(object_size) {
   assert(object_size_ > 0);
+  names_.resize((size_ + object_size_ - 1) / object_size_);
 }
 
-std::string BlockDevice::object_for(uint64_t off) const {
-  const std::string n = std::to_string(off / object_size_);
-  std::string oid;
-  oid.reserve(name_.size() + 5 + n.size());
-  oid.append(name_).append(".obj.").append(n);
-  return oid;
+ObjectName BlockDevice::object_for(uint64_t off) const {
+  const uint64_t idx = off / object_size_;
+  if (idx >= names_.size()) names_.resize(idx + 1);
+  ObjectName& name = names_[idx];
+  if (name.empty()) {
+    const std::string n = std::to_string(idx);
+    std::string oid;
+    oid.reserve(name_.size() + 5 + n.size());
+    oid.append(name_).append(".obj.").append(n);
+    name = std::move(oid);
+  }
+  return name;
 }
 
 void BlockDevice::write(uint64_t off, Buffer data,

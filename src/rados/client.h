@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "obs/perf_counters.h"
 #include "osd/cluster_context.h"
@@ -43,20 +44,20 @@ class RadosClient {
   obs::PerfCounters& perf() { return *perf_; }
   const obs::PerfCounters& perf() const { return *perf_; }
 
-  // The data verbs take the OID by value: it moves into the message.
-  void write(PoolId pool, std::string oid, uint64_t off, Buffer data,
+  // The OID moves into the message; an ObjectName argument is a refcount
+  // bump, a string builds the name.
+  void write(PoolId pool, ObjectName oid, uint64_t off, Buffer data,
              std::function<void(Status)> cb);
-  void write_full(PoolId pool, std::string oid, Buffer data,
+  void write_full(PoolId pool, ObjectName oid, Buffer data,
                   std::function<void(Status)> cb);
-  void read(PoolId pool, std::string oid, uint64_t off, uint64_t len,
+  void read(PoolId pool, ObjectName oid, uint64_t off, uint64_t len,
             std::function<void(Result<Buffer>)> cb);
-  void remove(PoolId pool, const std::string& oid,
-              std::function<void(Status)> cb);
-  void stat(PoolId pool, const std::string& oid,
+  void remove(PoolId pool, ObjectName oid, std::function<void(Status)> cb);
+  void stat(PoolId pool, ObjectName oid,
             std::function<void(Result<uint64_t>)> cb);
-  void getxattr(PoolId pool, const std::string& oid, const std::string& name,
+  void getxattr(PoolId pool, ObjectName oid, const std::string& name,
                 std::function<void(Result<Buffer>)> cb);
-  void setxattr(PoolId pool, const std::string& oid, const std::string& name,
+  void setxattr(PoolId pool, ObjectName oid, const std::string& name,
                 Buffer value, std::function<void(Status)> cb);
 
  private:
@@ -82,8 +83,9 @@ class BlockDevice {
   void read(uint64_t off, uint64_t len,
             std::function<void(Result<Buffer>)> cb);
 
-  // Object backing a block offset (for tests / placement inspection).
-  std::string object_for(uint64_t off) const;
+  // Object backing a block offset.  Each object's name is built on first
+  // use and kept, so an op copies it instead of formatting it.
+  ObjectName object_for(uint64_t off) const;
 
  private:
   RadosClient* client_;
@@ -91,6 +93,7 @@ class BlockDevice {
   std::string name_;
   uint64_t size_;
   uint32_t object_size_;
+  mutable std::vector<ObjectName> names_;  // by object index
 };
 
 }  // namespace gdedup

@@ -234,12 +234,15 @@ void Cluster::revive_osd(OsdId id, bool wipe_store) {
   if (crashed) {
     // Daemon restart: tiers rebuild their dirty knowledge from the local
     // store (the crash dropped their in-memory lists) and resume ticking.
+    // The store may still hold copies older than the ones written during
+    // the outage; recover() installs those and has the tiers rescan.
     for (PoolId p : osdmap_.pool_ids()) {
       if (auto* t = static_cast<DedupTier*>(o->tier(p))) {
         t->rebuild_dirty_list();
         t->start();
       }
     }
+    revived_since_recover_.insert(id);
   }
 }
 
@@ -569,6 +572,23 @@ SimTime Cluster::recover(uint64_t* objects_recovered,
     }
   }
 
+  // Tiers of crash-revived OSDs rebuilt their dirty lists before these
+  // installs: pick up what the installed copies leave dirty.  A pass whose
+  // transfers did not all land keeps them listed for the next pass.
+  for (auto it = revived_since_recover_.begin();
+       it != revived_since_recover_.end();) {
+    Osd* o = osd(*it);
+    if (o == nullptr || !o->is_up()) {
+      ++it;
+      continue;
+    }
+    for (PoolId p : osdmap_.pool_ids()) {
+      if (auto* t = static_cast<DedupTier*>(o->tier(p))) t->rescan_dirty();
+    }
+    it = tally->outstanding == 0 ? revived_since_recover_.erase(it)
+                                 : std::next(it);
+  }
+
   if (objects_recovered != nullptr) *objects_recovered = tally->objects;
   if (bytes_recovered != nullptr) *bytes_recovered = tally->bytes;
   return sched_.now() - start;
@@ -577,15 +597,16 @@ SimTime Cluster::recover(uint64_t* objects_recovered,
 bool Cluster::drain_dedup(SimTime max_wait) {
   const SimTime deadline = sched_.now() + max_wait;
   while (sched_.now() < deadline) {
-    bool busy = false;
+    bool busy_up = false;
+    bool busy_down = false;
     for (auto& o : osds_) {
       for (PoolId p : osdmap_.pool_ids()) {
-        if (TierService* t = o->tier(p)) {
-          if (t->dirty_backlog() > 0) busy = true;
+        if (TierService* t = o->tier(p); t != nullptr && t->dirty_backlog() > 0) {
+          (o->is_up() ? busy_up : busy_down) = true;
         }
       }
     }
-    if (!busy) return true;
+    if (!busy_up) return !busy_down;
     sched_.run_for(msec(200));
   }
   return false;

@@ -9,6 +9,7 @@
 // orchestration the experiments script against.
 
 #include <map>
+#include <set>
 #include <memory>
 #include <vector>
 
@@ -174,12 +175,18 @@ class Cluster : public ClusterContext {
   // Backfill every object whose acting set has members missing it; runs
   // the scheduler to completion of recovery and returns the virtual-time
   // duration.  `objects_recovered`/`bytes_recovered` out-params optional.
+  // The tiers of OSDs revived after a crash rebuilt their dirty lists from
+  // the copies they held then; once the newer copies written during the
+  // outage are installed, they pick up the objects those copies leave
+  // dirty (DedupTier::rescan_dirty).
   SimTime recover(uint64_t* objects_recovered = nullptr,
                   uint64_t* bytes_recovered = nullptr);
 
   // --- dedup orchestration ---
   // Run virtual time until every tier's backlog drains (no dirty objects,
   // no pending derefs), or until `max_wait` elapses.  Returns drained?
+  // A down OSD's tiers cannot drain, so once the only backlog left is
+  // theirs this returns false at once.
   bool drain_dedup(SimTime max_wait = sec(7200));
 
   // --- stats ---
@@ -223,6 +230,8 @@ class Cluster : public ClusterContext {
   std::vector<std::unique_ptr<Osd>> osds_;
   std::map<OsdId, NodeId> osd_node_;
   bool recipe_dedup_;
+  // OSDs revived after a crash whose tiers recover() must rescan.
+  std::set<OsdId> revived_since_recover_;
   // One fingerprint index per storage node, shared by that node's tiers
   // (thread-confined to the node's engine shard; see fingerprint_index.h).
   std::vector<std::unique_ptr<FingerprintIndex>> node_fp_indexes_;

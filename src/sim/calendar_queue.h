@@ -29,20 +29,27 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <new>
 #include <vector>
 
+#include "common/inline_function.h"
 #include "sim/time.h"
 
 namespace gdedup {
+
+// An event's callback.  Its captures live inline in the arena node up to
+// this many bytes, so a steady-state event allocates nothing: an OSD
+// message hop captures one pointer, and a disk completion a few pointers
+// plus a reply continuation (osd/messages.h: ReplyFn, 80 bytes).
+inline constexpr size_t kEventInlineBytes = 112;
+using EventFn = InlineFunction<void(), kEventInlineBytes>;
 
 struct EventNode {
   SimTime t = 0;
   uint64_t key = 0;  // total tie-break order among same-time events
   EventNode* next = nullptr;
-  std::function<void()> cb{};
+  EventFn cb{};
   uint64_t aux = 0;    // ingress: rx service time (ns)
   int32_t node = -1;   // ingress: destination node
   uint8_t kind = 0;    // Scheduler dispatch tag (callback / ingress)

@@ -89,7 +89,8 @@ Scheduler::EventId Scheduler::insert_into_shard(Shard& sh, SimTime t,
 
 Scheduler::EventId Scheduler::insert_global(SimTime t, Callback cb) {
   const uint64_t seq = global_next_seq_++;
-  global_q_.push(GlobalEvent{t, seq, std::move(cb)});
+  global_q_.push_back(GlobalEvent{t, seq, std::move(cb)});
+  std::push_heap(global_q_.begin(), global_q_.end(), GlobalLater{});
   return (kGlobalLaneByte << 56) | seq;
 }
 
@@ -150,12 +151,19 @@ uint64_t Scheduler::events_executed() const {
   return n;
 }
 
+Scheduler::GlobalEvent Scheduler::pop_global() {
+  std::pop_heap(global_q_.begin(), global_q_.end(), GlobalLater{});
+  GlobalEvent ev = std::move(global_q_.back());
+  global_q_.pop_back();
+  return ev;
+}
+
 SimTime Scheduler::global_min() {
   while (!global_q_.empty() &&
-         global_cancelled_.erase(global_q_.top().seq) > 0) {
-    global_q_.pop();
+         global_cancelled_.erase(global_q_.front().seq) > 0) {
+    pop_global();
   }
-  return global_q_.empty() ? CalendarQueue::kNoEvent : global_q_.top().t;
+  return global_q_.empty() ? CalendarQueue::kNoEvent : global_q_.front().t;
 }
 
 void Scheduler::run_global_at(SimTime t) {
@@ -163,13 +171,8 @@ void Scheduler::run_global_at(SimTime t) {
   t_ctx = {this, kGlobalLane};
   global_clock_ = t;
   for (;;) {
-    while (!global_q_.empty() &&
-           global_cancelled_.erase(global_q_.top().seq) > 0) {
-      global_q_.pop();
-    }
-    if (global_q_.empty() || global_q_.top().t != t) break;
-    GlobalEvent ev = global_q_.top();
-    global_q_.pop();
+    if (global_min() != t) break;
+    GlobalEvent ev = pop_global();
     global_executed_++;
     ev.cb();
   }

@@ -31,7 +31,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <shared_mutex>
 #include <thread>
 #include <unordered_set>
@@ -51,7 +50,8 @@ bool sim_parallel_phase();
 
 class Scheduler {
  public:
-  using Callback = std::function<void()>;
+  // Move-only: an event runs its callback once (calendar_queue.h).
+  using Callback = EventFn;
   using EventId = uint64_t;
 
   Scheduler() : Scheduler(1) {}
@@ -204,6 +204,7 @@ class Scheduler {
   EventId insert_into_shard(Shard& sh, SimTime t, Callback cb);
   EventId insert_global(SimTime t, Callback cb);
   SimTime global_min();  // purges cancelled heads
+  GlobalEvent pop_global();
   void run_global_at(SimTime t);
   void run_shard_window(Shard& sh, SimTime h);
   void run_window(SimTime w, SimTime h);
@@ -220,8 +221,9 @@ class Scheduler {
   bool parallel_ = false;
 
   // Global (control) lane.
-  std::priority_queue<GlobalEvent, std::vector<GlobalEvent>, GlobalLater>
-      global_q_;
+  // A binary heap under GlobalLater (std::push_heap / std::pop_heap), so
+  // the popped event's callback can be moved out.
+  std::vector<GlobalEvent> global_q_;
   uint64_t global_next_seq_ = 1;
   uint64_t global_executed_ = 0;
   SimTime global_clock_ = 0;

@@ -341,9 +341,63 @@ TEST(ChunkMap, AnyDirtyAndLogicalEnd) {
   cm.obtain(0, 32768);
   cm.obtain(32768, 1000);
   EXPECT_FALSE(cm.any_dirty());
-  cm.find(32768)->dirty = true;
+  cm.set_dirty(*cm.find(32768), true);
   EXPECT_TRUE(cm.any_dirty());
   EXPECT_EQ(cm.logical_end(), 33768u);
+}
+
+TEST(ChunkMap, CountsMatchFullScanOnRandomEdits) {
+  // The dirty and local (cached || dirty) counts must equal a scan of the
+  // entries after any mix of flag flips, puts, erases and decodes.
+  Rng rng(77);
+  for (int trial = 0; trial < 200; trial++) {
+    ChunkMap cm;
+    for (int step = 0; step < 60; step++) {
+      const uint64_t off = rng.below(16) * 4096;
+      switch (rng.below(5)) {
+        case 0:
+          cm.obtain(off, 4096);
+          break;
+        case 1: {
+          ChunkMapEntry e;
+          e.offset = off;
+          e.length = 4096;
+          e.cached = rng.below(2) != 0;
+          e.dirty = rng.below(2) != 0;
+          cm.put(e);
+          break;
+        }
+        case 2:
+          cm.erase(off);
+          break;
+        case 3:
+          if (ChunkMapEntry* e = cm.find(off)) {
+            cm.set_cached(*e, rng.below(2) != 0);
+          }
+          break;
+        default:
+          if (ChunkMapEntry* e = cm.find(off)) {
+            cm.set_dirty(*e, rng.below(2) != 0);
+          }
+          break;
+      }
+    }
+    auto check = [&](const ChunkMap& m) {
+      size_t dirty = 0;
+      size_t local = 0;
+      for (const auto& [o, e] : m.entries()) {
+        dirty += e.dirty;
+        local += e.cached || e.dirty;
+      }
+      EXPECT_EQ(m.dirty_count(), dirty) << "trial " << trial;
+      EXPECT_EQ(m.any_dirty(), dirty > 0) << "trial " << trial;
+      EXPECT_EQ(m.any_local(), local > 0) << "trial " << trial;
+    };
+    check(cm);
+    auto decoded = ChunkMap::decode(cm.encode());
+    ASSERT_TRUE(decoded.is_ok());
+    check(decoded.value());
+  }
 }
 
 TEST(ChunkMap, LogicalEndMatchesFullScanOnRandomMaps) {
@@ -398,8 +452,7 @@ TEST(ChunkMap, EncodeDecodeRoundTrip) {
 TEST(ChunkMap, EncodedSizeIsPaperFootprint) {
   ChunkMap cm;
   ChunkMapEntry& e = cm.obtain(0, 32768);
-  e.chunk_id = "sha256:";
-  e.chunk_id.append(64, 'a');
+  e.chunk_id = "sha256:" + std::string(64, 'a');
   // 4-byte count + one length-prefixed 150-byte entry.
   EXPECT_EQ(cm.encode().size(), 4u + 4u + ChunkMap::kEntryEncodedBytes);
   cm.obtain(32768, 32768);

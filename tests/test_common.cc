@@ -1,15 +1,30 @@
-// Status/Result, encoding, histogram, bloom filter, LRU, CRC32C, options.
+// Status/Result, encoding, histogram, bloom filter, LRU, CRC32C, options,
+// object names and the move-only event callable.
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <map>
+#include <memory>
+#include <string>
+#include <thread>
+#include <unordered_set>
+#include <vector>
 
 #include "common/bloom_filter.h"
 #include "common/crc32.h"
 #include "common/encoding.h"
 #include "common/histogram.h"
+#include "common/inline_function.h"
 #include "common/lru.h"
+#include "common/object_name.h"
 #include "common/random.h"
 #include "common/options.h"
 #include "common/status.h"
+#include "hash/fingerprint.h"
+#include "osd/object_store.h"
+#include "sim/network.h"
+#include "sim/scheduler.h"
 
 namespace gdedup {
 namespace {
@@ -344,6 +359,184 @@ TEST(Options, ValueMayContainEquals) {
   Options o(2, const_cast<char**>(argv));
   EXPECT_EQ(o.get("expr", ""), "a=b");
   o.check_unused();
+}
+
+// ------------------------------------------------------------ ObjectName
+
+std::vector<std::string> sample_names() {
+  std::vector<std::string> out = {"", "a", "ab", "b", "vol.obj.1",
+                                  "vol.obj.10", "vol.obj.2"};
+  Rng rng(5);
+  for (int i = 0; i < 200; i++) {
+    std::string s(static_cast<size_t>(rng.below(70)), 'x');
+    for (char& c : s) c = "0123456789abcdef"[rng.below(16)];
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+TEST(ObjectName, HashesMatchTheBytesHashes) {
+  for (const std::string& s : sample_names()) {
+    const ObjectName n(s);
+    EXPECT_EQ(n.hash(), std::hash<std::string_view>{}(s)) << s;
+    EXPECT_EQ(n.hash(), std::hash<std::string>{}(s)) << s;
+    EXPECT_EQ(std::hash<ObjectName>{}(n), n.hash()) << s;
+    EXPECT_EQ(n.fnv(), fnv1a(std::string_view(s))) << s;
+  }
+  const ObjectName empty;
+  EXPECT_EQ(empty.hash(), std::hash<std::string>{}(std::string()));
+  EXPECT_EQ(empty.fnv(), fnv1a(std::string_view()));
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty, ObjectName(""));
+}
+
+TEST(ObjectName, OrderingAndEqualityMatchStdString) {
+  const auto names = sample_names();
+  for (const std::string& a : names) {
+    for (const std::string& b : names) {
+      const ObjectName na(a);
+      const ObjectName nb(b);
+      EXPECT_EQ(na < nb, a < b) << a << " " << b;
+      EXPECT_EQ(na == nb, a == b) << a << " " << b;
+      EXPECT_EQ(na == b, a == b) << a << " " << b;
+      EXPECT_EQ(na == std::string_view(b), a == b) << a << " " << b;
+    }
+  }
+  // Keyed containers iterate as they did with string keys.
+  std::map<ObjectKey, int> by_name;
+  std::map<std::pair<PoolId, std::string>, int> by_string;
+  for (size_t i = 0; i < names.size(); i++) {
+    const PoolId pool = static_cast<PoolId>(i % 3);
+    by_name[ObjectKey{pool, names[i]}] = static_cast<int>(i);
+    by_string[{pool, names[i]}] = static_cast<int>(i);
+  }
+  std::vector<int> a;
+  std::vector<int> b;
+  for (const auto& [k, v] : by_name) a.push_back(v);
+  for (const auto& [k, v] : by_string) b.push_back(v);
+  EXPECT_EQ(a, b);
+  std::unordered_set<ObjectName> hashed_names;
+  std::unordered_set<std::string> hashed_strings;
+  for (const std::string& s : names) {
+    hashed_names.insert(ObjectName(s));
+    hashed_strings.insert(s);
+  }
+  std::vector<std::string> ia(hashed_names.begin(), hashed_names.end());
+  std::vector<std::string> ib(hashed_strings.begin(), hashed_strings.end());
+  EXPECT_EQ(ia, ib);
+}
+
+TEST(ObjectName, CopiesShareStorage) {
+  const ObjectName a(std::string(64, 'f'));
+  const ObjectName b = a;
+  ObjectName c;
+  c = b;
+  EXPECT_TRUE(b.shares_storage_with(a));
+  EXPECT_TRUE(c.shares_storage_with(a));
+  EXPECT_EQ(c.data(), a.data());
+  const ObjectName d(std::string(64, 'f'));
+  EXPECT_FALSE(d.shares_storage_with(a));
+  EXPECT_EQ(d, a);
+  ObjectName moved = std::move(c);
+  EXPECT_TRUE(moved.shares_storage_with(a));
+  EXPECT_TRUE(c.empty());  // NOLINT: moved-from names are empty
+  const std::string& as_string = a;
+  EXPECT_EQ(as_string, std::string(64, 'f'));
+  EXPECT_EQ("x" + a, "x" + std::string(64, 'f'));
+}
+
+TEST(ObjectName, CopiesAcrossThreads) {
+  // Exec-pool workers and parallel shard windows copy names: the refcount
+  // must survive concurrent copies and drops of one name.
+  const ObjectName shared(std::string(64, 'c'));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; t++) {
+    threads.emplace_back([&shared] {
+      std::vector<ObjectName> held;
+      for (int i = 0; i < 20000; i++) {
+        held.push_back(shared);
+        if (held.size() > 16) held.clear();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(shared.str(), std::string(64, 'c'));
+  EXPECT_EQ(ObjectName(shared), shared);
+}
+
+// -------------------------------------------------------- InlineFunction
+
+// Counts live copies of itself, so a test sees every capture destroyed.
+struct Token {
+  explicit Token(int* live) : live(live) { ++*live; }
+  Token(const Token& o) : live(o.live) { ++*live; }
+  Token(Token&& o) noexcept : live(o.live) { ++*live; }
+  ~Token() { --*live; }
+  int* live;
+};
+
+TEST(InlineFunction, SmallCapturesInlineLargeOnHeapBothRun) {
+  int live = 0;
+  int ran = 0;
+  {
+    Token t(&live);
+    InlineFunction<void(), 48> small = [t, &ran] { ran += 1; };
+    std::array<char, 200> pad{};
+    InlineFunction<void(), 48> big = [t, pad, &ran] { ran += 10 + pad[0]; };
+    static_assert(InlineFunction<void(), 48>::stored_inline<Token>());
+    static_assert(!InlineFunction<void(), 48>::stored_inline<decltype(pad)>());
+    EXPECT_EQ(live, 3);
+    InlineFunction<void(), 48> moved = std::move(small);
+    EXPECT_FALSE(small);  // NOLINT: moved-from is empty
+    EXPECT_EQ(live, 3);
+    moved();
+    big();
+    EXPECT_EQ(ran, 11);
+    moved = nullptr;
+    EXPECT_EQ(live, 2);
+  }
+  EXPECT_EQ(live, 0);
+  InlineFunction<int(int), 16> add = [](int x) { return x + 1; };
+  EXPECT_EQ(add(41), 42);
+  EXPECT_FALSE(InlineFunction<void()>(std::function<void()>()));
+  EXPECT_FALSE(InlineFunction<void()>(nullptr));
+}
+
+TEST(InlineFunction, CapturesOfCancelledAndDroppedEventsAreDestroyed) {
+  int live = 0;
+  int ran = 0;
+  std::array<char, 200> pad{};
+  {
+    Scheduler s;
+    const Token t(&live);
+    s.after(10, [t, &ran] { ran++; });
+    const auto cancelled = s.after(20, [t, &ran] { ran += 100; });
+    s.after(30, [t, pad, &ran] { ran += 100 + pad[0]; });  // heap-boxed
+    s.after(40, [t, &ran] { ran += 100; });
+    EXPECT_TRUE(s.cancel(cancelled));
+    s.run_until(25);
+    EXPECT_EQ(ran, 1);
+    // The run event and the cancelled one are gone; two stay queued.
+    EXPECT_EQ(live, 3);
+    // Control-lane events, one run and one left queued.
+    s.at(26, [t, &ran] { ran += 1000; });
+    EXPECT_EQ(live, 4);
+  }
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(live, 0);  // the scheduler's teardown destroyed the rest
+}
+
+TEST(InlineFunction, LostMessageDestroysItsDelivery) {
+  int live = 0;
+  Scheduler s;
+  Network net(&s, 2, NetworkConfig{});
+  net.set_drop_every(1);
+  {
+    const Token t(&live);
+    net.send(0, 1, 100, [t] {});
+  }
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(net.dropped_messages(), 1u);
 }
 
 }  // namespace

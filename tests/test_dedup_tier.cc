@@ -55,7 +55,7 @@ TEST(DedupTier, FlushMovesChunksToChunkPool) {
     EXPECT_TRUE(e.flushed());
     EXPECT_FALSE(e.dirty);
     EXPECT_FALSE(e.cached);
-    EXPECT_EQ(e.chunk_id.substr(0, 7), "sha256:");
+    EXPECT_EQ(e.chunk_id.str().substr(0, 7), "sha256:");
   }
   EXPECT_EQ(h.chunk_object_count(), 2u);
   // Metadata object's data part was evicted.

@@ -299,5 +299,68 @@ TEST(Recovery, RepeatedFailureCycles) {
   }
 }
 
+TEST(Recovery, OverwritesDuringOutageFlushAfterReviveAndRecover) {
+  // The crashed primary of o0 comes back without a wipe: its tier
+  // rebuilds its dirty list from the copies it held before the crash,
+  // then recovery installs the newer copies written during the outage.
+  // Those overwrites must still reach the chunk pool, and no tier may keep
+  // a backlog for them.
+  ClusterConfig ccfg = testutil::small_cluster_config();
+  ccfg.op_timeout = msec(200);
+  DedupHarness h(test_tier_config(), ccfg);
+  constexpr int kObjects = 32;
+  std::vector<Buffer> truth;
+  for (int i = 0; i < kObjects; i++) {
+    Buffer d = random_buffer(64 * 1024, static_cast<uint64_t>(300 + i));
+    ASSERT_TRUE(h.write("o" + std::to_string(i), 0, d).is_ok());
+    truth.push_back(std::move(d));
+  }
+  ASSERT_TRUE(h.drain());
+  const OsdId victim = h.cluster->osdmap().primary(h.meta, "o0");
+  h.cluster->crash_osd(victim);
+  for (int i = 0; i < kObjects; i++) {
+    const Buffer d = random_buffer(16 * 1024, static_cast<uint64_t>(400 + i));
+    ASSERT_TRUE(h.write("o" + std::to_string(i), 16 * 1024, d).is_ok());
+    truth[static_cast<size_t>(i)].write_at(16 * 1024, d);
+  }
+  h.cluster->revive_osd(victim, /*wipe_store=*/false);
+  h.cluster->recover();
+  ASSERT_TRUE(h.drain());
+  for (Osd* o : h.cluster->osds()) {
+    EXPECT_EQ(h.cluster->tier_of(o->id(), h.meta)->dirty_backlog(), 0u)
+        << "osd " << o->id();
+  }
+  for (int i = 0; i < kObjects; i++) {
+    auto r = h.read("o" + std::to_string(i), 0, 0);
+    ASSERT_TRUE(r.is_ok()) << i;
+    EXPECT_TRUE(r->content_equals(truth[static_cast<size_t>(i)])) << i;
+  }
+}
+
+TEST(Recovery, DrainReturnsFalsePromptlyWhileDirtyOsdIsDown) {
+  // A crashed OSD's tier is stopped, so its backlog cannot drain: once the
+  // up tiers are done, drain_dedup must say so at once instead of running
+  // to its deadline.
+  DedupHarness h(test_tier_config());
+  for (int i = 0; i < 16; i++) {
+    ASSERT_TRUE(h.write("d" + std::to_string(i), 0,
+                        random_buffer(64 * 1024, static_cast<uint64_t>(i)))
+                    .is_ok());
+  }
+  OsdId victim = -1;
+  for (Osd* o : h.cluster->osds()) {
+    if (h.cluster->tier_of(o->id(), h.meta)->dirty_backlog() > 0) {
+      victim = o->id();
+      break;
+    }
+  }
+  ASSERT_GE(victim, 0);
+  h.cluster->crash_osd(victim);
+  const SimTime t0 = h.cluster->sched().now();
+  EXPECT_FALSE(h.cluster->drain_dedup());
+  EXPECT_LT(h.cluster->sched().now() - t0, sec(60));
+  EXPECT_GT(h.cluster->tier_of(victim, h.meta)->dirty_backlog(), 0u);
+}
+
 }  // namespace
 }  // namespace gdedup

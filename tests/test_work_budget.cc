@@ -46,12 +46,13 @@ void* operator new[](std::size_t n) { return ::operator new(n); }
 namespace gdedup {
 namespace {
 
-// Allocations per client op when the budget was set: 73.1, down from
-// 120.2 before the OSD op path stopped copying transactions, reply
-// callbacks and queued ops (72.4 once the fingerprint memo was gone).
-// The budget leaves ~10% for unrelated growth; lower it when a change
-// cuts the count.
-constexpr double kAllocsPerOpBudget = 80.0;
+// Allocations per client op when the budget was set: 39.1, down from
+// 72.4 once object names became shared immutable ObjectNames, event and
+// reply callables move-only with inline captures, and each message hop
+// one heap record (120.2 before the OSD op path stopped copying
+// transactions, reply callbacks and queued ops).  The budget leaves ~10%
+// for unrelated growth; lower it when a change cuts the count.
+constexpr double kAllocsPerOpBudget = 43.0;
 // Scheduler events per client op when the budget was set: 12.37.  Same
 // ~10% headroom.
 constexpr double kEventsPerOpBudget = 13.6;
